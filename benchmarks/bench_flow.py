@@ -4,11 +4,8 @@ Standalone publisher (not a pytest benchmark) for ISSUE 8's acceptance
 numbers, recorded into ``benchmarks/BENCH_flow.json``:
 
 * **rows/sec** — challenge rows per second through :class:`BatchEvaluator`
-  on the same device, once with the dense lockstep solver (``batched``,
-  ``(B, n, n)`` stacks) and once with the edge-array batched Dinic
-  (``batched_dinic``, one shared CSR + a ``(B, E)`` capacity table).  The
-  two paths must agree bit for bit; the report records both rates and the
-  edge/dense speedup.
+  with the edge-array batched Dinic (``batched_dinic``, one shared CSR + a
+  ``(B, E)`` capacity table), the one batch path.
 * **claim p50/p99** — per-session wall-clock against a real loopback
   ``PpufAuthServer`` under concurrent sessions, with claim micro-batching
   on (``claim_batch_size=16``, 2 ms linger) and off
@@ -43,31 +40,23 @@ STARTUP_TIMEOUT = 60.0
 
 
 def bench_rows(ppuf, rng, *, rows, repeats):
-    """Rows/sec through BatchEvaluator: dense lockstep vs edge-array."""
+    """Rows/sec through BatchEvaluator's edge-array batch path."""
     challenges = ppuf.challenge_space().random_batch(rows, rng)
-    results = {}
-    bits_by_path = {}
-    for label, algorithm in (("dense", "batched"), ("edge", "batched_dinic")):
-        evaluator = BatchEvaluator(ppuf, algorithm=algorithm)
-        bits, _ = evaluator.evaluate(challenges)  # warm buffers + caches
-        best = float("inf")
-        for _ in range(repeats):
-            start = time.perf_counter()
-            bits, report = evaluator.evaluate(challenges)
-            best = min(best, time.perf_counter() - start)
-        bits_by_path[label] = bits
-        results[label] = {
-            "algorithm": algorithm,
+    evaluator = BatchEvaluator(ppuf)
+    evaluator.evaluate(challenges)  # warm buffers + caches
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        evaluator.evaluate(challenges)
+        best = min(best, time.perf_counter() - start)
+    return {
+        "edge": {
+            "algorithm": evaluator.algorithm,
             "rows": rows,
             "best_seconds": best,
             "rows_per_sec": rows / best,
         }
-    if not np.array_equal(bits_by_path["dense"], bits_by_path["edge"]):
-        raise AssertionError("dense and edge paths disagree on response bits")
-    results["speedup_edge_over_dense"] = (
-        results["edge"]["rows_per_sec"] / results["dense"]["rows_per_sec"]
-    )
-    return results
+    }
 
 
 def _spawn_server(pack_path, *, batch_size, linger):
@@ -185,11 +174,7 @@ def main(out_dir=None, *, smoke=False):
 
     print(f"rows/sec sweep: {rows} rows x {repeats} repeats (n={NODES}) ...")
     rows_report = bench_rows(ppuf, rng, rows=rows, repeats=repeats)
-    print(
-        f"  dense {rows_report['dense']['rows_per_sec']:.0f} rows/s, "
-        f"edge {rows_report['edge']['rows_per_sec']:.0f} rows/s "
-        f"({rows_report['speedup_edge_over_dense']:.2f}x)"
-    )
+    print(f"  edge {rows_report['edge']['rows_per_sec']:.0f} rows/s")
 
     print(f"claim sweep: {clients} concurrent clients x {duration:.0f} s ...")
     with tempfile.TemporaryDirectory(prefix="bench_flow_") as work:

@@ -1,14 +1,12 @@
-"""Fleet-pack economics: one mmap'd file versus a directory of ``.npz``.
+"""Fleet-pack economics: one mmap'd file for the whole fleet.
 
 Standalone publisher (not a pytest benchmark): builds a 1000-device pack,
 then records into ``benchmarks/BENCH_pack.json``
 
 * **enrollment throughput** — devices/second streamed through
-  :func:`repro.ppuf.pack.build_pack` (append-only, one fsync at close),
-  against the same fleet written as per-device ``save_compiled`` files;
-* **cold-claim latency** — p50/p99 of resolve-artifact + residual-graph
-  ``verify_compact`` for a cold device, pack row slice versus ``.npz``
-  load, at fleet sizes 10/100/1000;
+  :func:`repro.ppuf.pack.build_pack` (append-only, one fsync at close);
+* **cold-claim latency** — p50/p99 of pack row slice + residual-graph
+  ``verify_compact`` for a cold device, at fleet sizes 10/100/1000;
 * **open-FD count vs device count** — the pack must hold O(1)
   descriptors no matter how many devices it serves.
 
@@ -27,7 +25,6 @@ import numpy as np
 
 from repro.ppuf import Ppuf
 from repro.ppuf.pack import ArtifactPack, build_pack
-from repro.ppuf.io import load_compiled, save_compiled
 from repro.ppuf.verification import PpufProver, PpufVerifier
 
 NODES = 6
@@ -95,19 +92,10 @@ def _run(work):
     for size in SIZES:
         subset = compiled[:size]
         pack_path = os.path.join(work, f"fleet_{size}.pack")
-        npz_dir = os.path.join(work, f"npz_{size}")
-        os.makedirs(npz_dir, exist_ok=True)
 
         start = time.perf_counter()
         build_pack(pack_path, subset)
         pack_seconds = time.perf_counter() - start
-
-        start = time.perf_counter()
-        for artifact in subset:
-            save_compiled(
-                artifact, os.path.join(npz_dir, f"{artifact.device_id}.npz")
-            )
-        npz_seconds = time.perf_counter() - start
 
         sample_ids = [
             subset[i].device_id
@@ -126,40 +114,23 @@ def _run(work):
         pack_cold = _cold_claims(pack.device, sample_ids, claims)
         fd_after_pack = _fd_count()
 
-        npz_cold = _cold_claims(
-            lambda device_id: load_compiled(
-                os.path.join(npz_dir, f"{device_id}.npz")
-            ),
-            sample_ids,
-            claims,
-        )
-
-        # bit-exactness: pack row vs npz vs live device, on a fresh batch
+        # bit-exactness: pack row vs live device, on a fresh batch
         for device_id in sample_ids[:8]:
             device, _ = by_id[device_id]
             challenges = device.challenge_space().random_batch(16, challenge_rng)
             live = device.response_bits(challenges)
             assert np.array_equal(pack.device(device_id).response_bits(challenges), live)
-            from_npz = load_compiled(os.path.join(npz_dir, f"{device_id}.npz"))
-            assert np.array_equal(from_npz.response_bits(challenges), live)
 
         row = {
             "pack_enroll_devices_per_s": round(size / pack_seconds, 1),
-            "npz_enroll_devices_per_s": round(size / npz_seconds, 1),
             "pack_bytes": os.path.getsize(pack_path),
-            "npz_bytes": sum(
-                os.path.getsize(os.path.join(npz_dir, name))
-                for name in os.listdir(npz_dir)
-            ),
             "pack_cold_claim": pack_cold,
-            "npz_cold_claim": npz_cold,
             "pack_open_fds_delta": fd_after_pack - fd_before,
         }
         report["sizes"][str(size)] = row
         print(
             f"{size:>5} devices  enroll pack {row['pack_enroll_devices_per_s']:>8} dev/s"
-            f"  npz {row['npz_enroll_devices_per_s']:>8} dev/s"
-            f"  cold-claim p50 pack {pack_cold['p50_ms']} ms / npz {npz_cold['p50_ms']} ms"
+            f"  cold-claim p50 {pack_cold['p50_ms']} ms"
             f"  fds +{row['pack_open_fds_delta']}"
         )
         assert row["pack_open_fds_delta"] <= 1, "pack leaked file descriptors"

@@ -3,11 +3,11 @@
 ``python -m repro <command>``:
 
 * ``create``     fabricate a PPUF and save its variation state to JSON
-* ``compile``    precompile a saved PPUF into an evaluation artifact (npz)
-* ``pack``       build/append/inspect packed artifact fleets (one mmap'd
-  file for many devices; see :mod:`repro.ppuf.pack`)
-* ``respond``    evaluate challenges on a saved PPUF (or ``--compiled``
-  artifact)
+* ``pack``       build/append/inspect artifact packs — the compiled
+  evaluation artifacts of one device or a whole fleet in one mmap'd file
+  (see :mod:`repro.ppuf.pack`)
+* ``respond``    evaluate challenges on a saved PPUF (or a ``--pack``
+  member)
 * ``solvers``    list the registered max-flow solvers and capabilities
 * ``protocol``   run a time-bounded authentication session against itself
 * ``serve``      host the networked authentication service (see
@@ -16,8 +16,8 @@
   servers behind one hash-sharding router, ``fleet stats`` merges
   fleet-wide telemetry, ``fleet load`` drives concurrent honest/hostile
   traffic (see :mod:`repro.service.fleet`)
-* ``auth``       authenticate a saved PPUF (or ``--compiled`` artifact, or
-  a ``--pack`` member) against a running server
+* ``auth``       authenticate a saved PPUF (or a ``--pack`` member)
+  against a running server
 * ``experiments``  regenerate the paper's tables/figures (see
   :mod:`repro.experiments.all`)
 
@@ -50,12 +50,10 @@ from repro.ppuf import Ppuf
 # persistence (re-exported from repro.ppuf.io for backward compatibility)
 # ----------------------------------------------------------------------
 from repro.ppuf.io import (  # noqa: E402,F401
-    load_compiled,
     load_crps,
     load_ppuf,
     ppuf_from_dict,
     ppuf_to_dict,
-    save_compiled,
     save_crps,
     save_ppuf,
 )
@@ -71,19 +69,6 @@ def _command_create(arguments) -> int:
     print(
         f"created {arguments.nodes}-node PPUF (l={arguments.grid}, "
         f"seed={arguments.seed}) -> {arguments.output}"
-    )
-    return 0
-
-
-def _command_compile(arguments) -> int:
-    ppuf = load_ppuf(arguments.ppuf)
-    compiled = ppuf.compile(include_circuit=not arguments.no_circuit)
-    save_compiled(compiled, arguments.output)
-    tables = "capacity+circuit" if compiled.has_circuit_tables else "capacity"
-    print(
-        f"compiled {arguments.ppuf} ({compiled.n} nodes, "
-        f"{compiled.num_edges} edges, {tables} tables, "
-        f"device {compiled.device_id[:16]}…) -> {arguments.output}"
     )
     return 0
 
@@ -148,8 +133,8 @@ def _command_pack(arguments) -> int:
 def _command_respond(arguments) -> int:
     from repro.ppuf import BatchEvaluator, CRP, CRPDataset
 
-    if arguments.compiled:
-        ppuf = load_compiled(arguments.compiled)
+    if arguments.pack:
+        ppuf = _pack_member(arguments.pack, None)
     else:
         ppuf = load_ppuf(arguments.ppuf)
     rng = np.random.default_rng(arguments.seed)
@@ -305,7 +290,6 @@ def _command_serve(arguments) -> int:
         workers=arguments.workers,
         seed=arguments.seed,
         allow_enroll=not arguments.no_enroll,
-        use_compiled=arguments.compiled,
         claim_batch_size=arguments.claim_batch,
         claim_batch_linger=arguments.claim_linger,
         connection_timeout=arguments.timeout if arguments.timeout > 0 else None,
@@ -356,17 +340,12 @@ def _command_auth(arguments) -> int:
 
     retry = RetryPolicy(attempts=max(1, arguments.retries + 1))
     resilience = dict(timeout=arguments.timeout, retry=retry)
-    if (arguments.compiled is not None) and (arguments.pack is not None):
-        raise ReproError("--compiled and --pack are mutually exclusive")
-    if arguments.compiled or arguments.pack:
-        if arguments.enroll:
-            raise ReproError(
-                "--enroll needs the full public description; pass --ppuf "
-                "(a compiled artifact carries only evaluation tables)"
-            )
-    if arguments.compiled:
-        ppuf = load_compiled(arguments.compiled)
-    elif arguments.pack:
+    if arguments.pack and arguments.enroll:
+        raise ReproError(
+            "--enroll needs the full public description; pass --ppuf "
+            "(a compiled artifact carries only evaluation tables)"
+        )
+    if arguments.pack:
         ppuf = _pack_member(arguments.pack, arguments.device_id)
     else:
         ppuf = load_ppuf(arguments.ppuf)
@@ -748,19 +727,6 @@ def build_parser() -> argparse.ArgumentParser:
     create.add_argument("--output", default="ppuf.json")
     create.set_defaults(handler=_command_create)
 
-    compile_cmd = commands.add_parser(
-        "compile", help="precompile a saved PPUF into an evaluation artifact"
-    )
-    compile_cmd.add_argument("--ppuf", default="ppuf.json")
-    compile_cmd.add_argument("--output", default="ppuf.npz")
-    compile_cmd.add_argument(
-        "--no-circuit",
-        action="store_true",
-        help="skip the circuit I-V tables (capacity-only artifact; enough "
-        "for max-flow evaluation and claim verification)",
-    )
-    compile_cmd.set_defaults(handler=_command_compile)
-
     pack = commands.add_parser(
         "pack", help="build, append to, or inspect a packed artifact fleet"
     )
@@ -812,11 +778,11 @@ def build_parser() -> argparse.ArgumentParser:
     respond = commands.add_parser("respond", help="evaluate random challenges")
     respond.add_argument("--ppuf", default="ppuf.json")
     respond.add_argument(
-        "--compiled",
+        "--pack",
         default=None,
-        metavar="NPZ",
-        help="evaluate a compiled artifact (from `repro compile`) instead "
-        "of --ppuf",
+        metavar="PACK",
+        help="evaluate the device of a single-device artifact pack (from "
+        "`repro pack build --ppuf X`) instead of --ppuf",
     )
     respond.add_argument("--count", type=int, default=5)
     respond.add_argument("--seed", type=int, default=0)
@@ -829,8 +795,8 @@ def build_parser() -> argparse.ArgumentParser:
     respond.add_argument(
         "--algorithm",
         default=None,
-        help="registered solver name (default: 'batched' with --batch, "
-        "'dinic' otherwise; see `repro solvers`)",
+        help="registered solver name (default: 'batched_dinic' with "
+        "--batch, 'dinic' otherwise; see `repro solvers`)",
     )
     respond.add_argument(
         "--workers", type=int, default=1, help="process count for --batch"
@@ -920,13 +886,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="concurrent connection cap (excess gets a wire error)",
     )
     serve.add_argument(
-        "--compiled",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="ship compiled artifacts to verification workers "
-        "(--no-compiled restores the legacy public-dict transport)",
-    )
-    serve.add_argument(
         "--claim-batch",
         type=int,
         default=16,
@@ -946,13 +905,6 @@ def build_parser() -> argparse.ArgumentParser:
     auth.add_argument("--host", default="127.0.0.1")
     auth.add_argument("--port", type=int, default=7341)
     auth.add_argument("--ppuf", default="ppuf.json")
-    auth.add_argument(
-        "--compiled",
-        default=None,
-        metavar="NPZ",
-        help="authenticate with a compiled artifact (from `repro compile`) "
-        "instead of --ppuf",
-    )
     auth.add_argument(
         "--pack",
         default=None,

@@ -53,7 +53,6 @@ from repro.flow.residual import (
 # registry is the single source of truth for dispatch and capabilities.
 from repro.flow.edmonds_karp import edmonds_karp
 from repro.flow.dinic import blocking_flow, dinic
-from repro.flow.batched import BatchedFlowResult, batched_max_flow
 from repro.flow.batched_dinic import EdgeFlowResult, batched_dinic_edges
 from repro.flow.csr import CsrTopology, complete_topology, topology_from_matrix
 from repro.flow.push_relabel import push_relabel
@@ -130,8 +129,6 @@ __all__ = [
     "edmonds_karp",
     "dinic",
     "blocking_flow",
-    "BatchedFlowResult",
-    "batched_max_flow",
     "EdgeFlowResult",
     "batched_dinic_edges",
     "CsrTopology",

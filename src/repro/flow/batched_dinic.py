@@ -1,13 +1,11 @@
 """Vectorised blocking-flow Dinic over batched ``(B, E)`` edge arrays.
 
-The dense lockstep solver (:mod:`repro.flow.batched`) advances Edmonds–Karp
-over a ``(B, n, n)`` residual stack: one augmenting path per instance per
-round, each round paying a full dense BFS.  Dinic's level-synchronous
-structure vectorises better: a phase is one batched BFS that labels every
-instance's level graph, followed by a *blocking flow* found by a lockstep
-depth-first scan in which every step advances all live instances at once
-with a handful of ``(A, max_degree)`` gathers — no Python loop ever walks
-edges or instances, only phases, BFS waves and DFS steps.
+Dinic's level-synchronous structure vectorises well across instances: a
+phase is one batched BFS that labels every instance's level graph,
+followed by a *blocking flow* found by a lockstep depth-first scan in
+which every step advances all live instances at once with a handful of
+``(A, max_degree)`` gathers — no Python loop ever walks edges or
+instances, only phases, BFS waves and DFS steps.
 
 State lives in edge arrays, not matrices.  An instance's residual is one
 row of a ``(B, 2E + 1)`` table over the shared :class:`~repro.flow.csr.

@@ -47,7 +47,7 @@ def decompose_flow(
     if flow.shape != (n, n):
         raise FlowError(f"flow must be square, got {flow.shape}")
     if tol is None:
-        tol = 1e-12 * max(float(flow.max()), 1.0)
+        tol = 1e-12 * float(flow.max())
 
     paths: List[PathFlow] = []
     for _ in range(n * n + 1):
@@ -93,7 +93,7 @@ def cancel_cycles(flow: np.ndarray, *, tol: float = None) -> np.ndarray:
     if flow.shape != (n, n):
         raise FlowError(f"flow must be square, got {flow.shape}")
     if tol is None:
-        tol = 1e-12 * max(float(flow.max()), 1.0)
+        tol = 1e-12 * float(flow.max())
 
     while True:
         positive = flow > tol

@@ -7,7 +7,7 @@ come off one instrumented path.  This module provides it:
 * :class:`SolverSpec` — one registered max-flow algorithm: the callable
   plus capability metadata (``exact``/``approx``, ``supports_batch``,
   ``recursion_free``, a complexity string) and optional fast paths for
-  dense matrices and batched tensors.
+  dense matrices and batched ``(B, E)`` edge tables.
 * :class:`SolveStats` — the single structured telemetry record: wall
   seconds per pipeline phase plus machine-independent operation counts
   (BFS/DFS visits, augmenting paths, pushes/relabels, residual-edge
@@ -149,9 +149,8 @@ class SolverSpec:
     kind:
         ``"exact"`` or ``"approx"``.
     supports_batch:
-        Whether the solver ships a batched tensor fast path — dense
-        ``(B, n, n)`` stacks (``tensor_fn``), shared-topology ``(B, E)``
-        edge arrays (``tensor_edge_fn``), or both.
+        Whether the solver ships a batched tensor fast path over
+        shared-topology ``(B, E)`` edge arrays (``tensor_edge_fn``).
     recursion_free:
         True when no code path recurses on the graph depth — i.e. safe on
         path-shaped worst cases at scaling-experiment sizes.
@@ -163,9 +162,6 @@ class SolverSpec:
         Optional allocation-light dense core:
         ``matrix_fn(capacity, residual, source, sink) -> (value, counters)``
         solving in place on a caller-owned residual buffer.
-    tensor_fn:
-        Optional batched core with the signature of
-        :func:`repro.flow.batched.batched_max_flow`.
     tensor_edge_fn:
         Optional edge-array batched core with the signature of
         :func:`repro.flow.batched_dinic.batched_dinic_edges`: one shared
@@ -181,7 +177,6 @@ class SolverSpec:
     complexity: str = ""
     description: str = ""
     matrix_fn: Optional[Callable] = None
-    tensor_fn: Optional[Callable] = None
     tensor_edge_fn: Optional[Callable] = None
 
     @property
@@ -190,18 +185,10 @@ class SolverSpec:
 
     @property
     def tensor_kind(self) -> str:
-        """Which batched tensor fast paths the solver ships.
-
-        ``"dense"`` (``(B, n, n)`` stacks), ``"edge"`` (shared-CSR
-        ``(B, E)`` arrays), ``"dense+edge"`` or ``"none"`` — the honest
-        label for CLI listings, docs tables and benchmark reports.
-        """
-        kinds = []
-        if self.tensor_fn is not None:
-            kinds.append("dense")
-        if self.tensor_edge_fn is not None:
-            kinds.append("edge")
-        return "+".join(kinds) or "none"
+        """``"edge"`` when the solver ships the shared-CSR ``(B, E)`` fast
+        path, ``"none"`` otherwise — the label for CLI listings, docs
+        tables and benchmark reports."""
+        return "edge" if self.tensor_edge_fn is not None else "none"
 
     # -- uniform entry points ------------------------------------------
     def solve(self, network, source, sink, *, stats: Optional[SolveStats] = None, **kwargs):
@@ -240,27 +227,6 @@ class SolverSpec:
             self._record(stats, elapsed, counters)
         return float(value)
 
-    def solve_tensor(
-        self,
-        capacity,
-        sources,
-        sinks,
-        *,
-        residual_out=None,
-        stats: Optional[SolveStats] = None,
-    ):
-        """Solve a ``(B, n, n)`` stack in lockstep (``supports_batch`` only)."""
-        if self.tensor_fn is None:
-            raise SolverError(
-                f"solver {self.name!r} has no batched tensor implementation"
-            )
-        start = time.perf_counter()
-        result = self.tensor_fn(capacity, sources, sinks, residual_out=residual_out)
-        elapsed = time.perf_counter() - start
-        if stats is not None:
-            self._record(stats, elapsed, result.stats, solves=int(len(result.values)))
-        return result
-
     def solve_tensor_edges(
         self,
         topology,
@@ -273,9 +239,8 @@ class SolverSpec:
     ):
         """Solve a ``(B, E)`` capacity table over one shared CSR topology.
 
-        The edge-array sibling of :meth:`solve_tensor`: no dense stack is
-        ever built, the topology is reused across calls.  Only solvers
-        shipping a ``tensor_edge_fn`` support it.
+        No dense stack is ever built and the topology is reused across
+        calls.  Only solvers shipping a ``tensor_edge_fn`` support it.
         """
         if self.tensor_edge_fn is None:
             raise SolverError(
@@ -326,7 +291,6 @@ def register_solver(
     complexity: str = "",
     description: str = "",
     matrix_fn: Optional[Callable] = None,
-    tensor_fn: Optional[Callable] = None,
     tensor_edge_fn: Optional[Callable] = None,
 ) -> SolverSpec:
     """Register a solver under ``name`` (solver modules call this at import)."""
@@ -343,7 +307,6 @@ def register_solver(
         complexity=complexity,
         description=description,
         matrix_fn=matrix_fn,
-        tensor_fn=tensor_fn,
         tensor_edge_fn=tensor_edge_fn,
     )
     _REGISTRY[name] = spec

@@ -7,43 +7,38 @@ run and the protocol examples serve many verifiers at once, so this module
 turns the loop inside out:
 
 * capacities for *all* challenges of a chunk are assembled into one
-  capacity table (network A rows first, then network B), reusing the
-  per-bit capacity caches of :class:`~repro.ppuf.device.PpufNetwork` and a
-  preallocated capacity/residual buffer pair across chunks.  The shape of
-  that table follows the solver's tensor capability: an *edge-array*
-  solver (:attr:`~repro.flow.registry.SolverSpec.tensor_edge_fn`, the
-  default ``"batched_dinic"``) gets a ``(2·C, E)`` table over the shared
-  :class:`~repro.flow.csr.CsrTopology` — one vectorised ``np.where`` per
-  network, no dense ``(2·C, n, n)`` stack and no per-challenge Python
-  loop — while a *dense* tensor solver
-  (:attr:`~repro.flow.registry.SolverSpec.tensor_fn`, e.g. ``"batched"``)
-  still gets the classic dense stack;
-* any other registered *exact* solver is run one instance at a time
-  through :meth:`~repro.flow.registry.SolverSpec.solve_matrix` —
-  bit-for-bit identical to looping
-  :meth:`~repro.ppuf.device.Ppuf.response` — still skipping the
-  per-challenge object churn;
+  ``(2·C, E)`` capacity table (network A rows first, then network B) over
+  the shared :class:`~repro.flow.csr.CsrTopology`, reusing the per-bit
+  capacity rows of the device and a preallocated capacity/residual buffer
+  pair across chunks — one vectorised ``np.where`` per network, no dense
+  ``(2·C, n, n)`` stack and no per-challenge Python loop;
+* an edge-array solver
+  (:attr:`~repro.flow.registry.SolverSpec.tensor_edge_fn`, the default
+  ``"batched_dinic"``) takes that table whole; any other registered
+  *exact* solver gets it one row at a time, scattered into a reused
+  ``(n, n)`` capacity/residual pair and solved through
+  :meth:`~repro.flow.registry.SolverSpec.solve_matrix` — bit-for-bit
+  identical to looping :meth:`~repro.ppuf.device.Ppuf.response`;
 * ``workers > 1`` fans chunks out over a supervised
   :class:`~repro.runtime.pool.WorkerPool` (bounded in-flight window,
   crash supervision, merged :class:`~repro.runtime.stats.RuntimeStats`).
-  The device ships to workers as a :class:`~repro.ppuf.compiled.CompiledDevice`
-  placed in one shared-memory block by
-  :func:`repro.runtime.provision.ship_compiled`: each worker *maps* the
-  per-bit capacity / I–V tables (zero copies, one small manifest pickle)
-  instead of receiving a full device pickle and re-deriving the caches.
-  Pass ``share_memory=False`` to fall back to pickling (the benchmark
-  baseline).  Chunk results are reassembled in submission order, and
-  because no arithmetic couples challenges, the response bits are
-  independent of the worker count and chunking.  Empty and single-chunk
-  inputs short-circuit inline — no pool is ever spawned for them.
+  The device ships to workers as a temporary single-device artifact pack
+  written by :func:`repro.runtime.provision.ship_compiled` (on tmpfs where
+  the host has one): each worker *maps* the per-bit capacity / I–V tables
+  instead of receiving a device pickle and re-deriving the caches, and the
+  pack is unlinked once the pool is done.  Chunk results are reassembled
+  in submission order, and because no arithmetic couples challenges, the
+  response bits are independent of the worker count and chunking.  Empty
+  and single-chunk inputs short-circuit inline — no pool is ever spawned
+  for them.
 
 Every chunk fills one :class:`~repro.flow.registry.SolveStats` (phases
 ``prepare``/``solve``/``compare`` plus the solver's operation counts);
 :class:`BatchReport` merges them into the single telemetry record its
 consumers — benchmarks, protocol experiments, the service — read.
 
-The ``"batched_dinic"`` and ``"batched"`` solvers reach the same max-flow
-values as the exact solvers up to float rounding (the value is unique;
+The ``"batched_dinic"`` solver reaches the same max-flow values as the
+scalar exact solvers up to float rounding (the value is unique;
 only the augmentation order differs).  Comparator margins are
 astronomically larger than one ulp, so response bits agree — the
 equivalence test suite pins this.
@@ -64,19 +59,14 @@ from repro.ppuf.challenge import Challenge
 from repro.ppuf.compiled import CompiledDevice
 from repro.ppuf.engines import check_engine
 from repro.runtime.pool import WorkerPool
-from repro.runtime.provision import (
-    ShippedArtifact,
-    materialise_payload,
-    ship_compiled,
-)
+from repro.runtime.provision import materialise_payload, ship_compiled
 
 #: The cross-challenge vectorised solver: edge-array batched Dinic
-#: (see :mod:`repro.flow.batched_dinic`).  The dense lockstep
-#: Edmonds–Karp remains registered as ``"batched"``.
+#: (see :mod:`repro.flow.batched_dinic`).
 BATCHED_ALGORITHM = "batched_dinic"
 
-#: Default number of challenges per solver chunk.  Bounds the dense tensor
-#: at ``2 * 256 * n²`` floats and gives the process pool units of work.
+#: Default number of challenges per solver chunk.  Bounds the capacity
+#: table at ``2 * 256 * E`` floats and gives the process pool units of work.
 DEFAULT_CHUNK_SIZE = 256
 
 
@@ -157,17 +147,12 @@ class BatchEvaluator:
         ``"maxflow"`` (default) or ``"circuit"``.
     algorithm:
         Any registered *exact* solver name (``repro solvers`` lists them);
-        the default ``"batched_dinic"`` uses the edge-array tensor fast
-        path, ``"batched"`` the dense lockstep one.
+        the default ``"batched_dinic"`` solves each chunk's edge table in
+        lockstep, a scalar solver solves it row by row.
     workers:
         Process count; 1 evaluates inline.
     chunk_size:
         Challenges per solver chunk (default :data:`DEFAULT_CHUNK_SIZE`).
-    share_memory:
-        With ``workers > 1``, ship the device to pool workers as a
-        compiled artifact in shared memory (default).  ``False`` pickles
-        the device to every worker instead — the legacy transport, kept
-        for comparison benchmarks.
     """
 
     def __init__(
@@ -178,7 +163,6 @@ class BatchEvaluator:
         algorithm: str = BATCHED_ALGORITHM,
         workers: int = 1,
         chunk_size: Optional[int] = None,
-        share_memory: bool = True,
     ):
         check_engine(engine)
         spec = get_solver(algorithm)
@@ -199,24 +183,19 @@ class BatchEvaluator:
         self._spec = spec
         self.workers = int(workers)
         self.chunk_size = int(chunk_size)
-        self.share_memory = bool(share_memory)
         self._compiled: Optional[CompiledDevice] = (
             ppuf if isinstance(ppuf, CompiledDevice) else None
         )
         crossbar = ppuf.crossbar
         self._cells = crossbar.edge_cells()
-        self._edge_src, self._edge_dst = crossbar.edge_endpoints()
-        # Shared CSR view of the crossbar's complete-graph edge set; the
-        # module-level cache makes every same-size evaluator (and every
-        # pool worker) reuse one object.
+        # Shared CSR view of the crossbar's complete-graph edge set (same
+        # edge order as the crossbar); the module-level cache makes every
+        # same-size evaluator (and every pool worker) reuse one object.
         self._topology = complete_topology(crossbar.n)
         # Capacity/residual buffers, allocated once and reused for every
-        # full-size chunk this evaluator sees.  The dense pair backs
-        # tensor_fn solvers; the edge pair backs tensor_edge_fn solvers.
+        # full-size chunk this evaluator sees.
         self._capacity_buffer: Optional[np.ndarray] = None
         self._residual_buffer: Optional[np.ndarray] = None
-        self._edge_capacity_buffer: Optional[np.ndarray] = None
-        self._edge_residual_buffer: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
     # public API
@@ -256,13 +235,14 @@ class BatchEvaluator:
             workers_used = 1
         else:
             workers_used = min(self.workers, len(chunks))
-            shipped = self._worker_payload()
+            shipped = ship_compiled(self.compiled_device())
             try:
                 with WorkerPool(
                     workers_used,
                     initializer=_worker_init,
                     initargs=(
                         shipped.payload,
+                        shipped.device_id,
                         self.engine,
                         self.algorithm,
                         self.chunk_size,
@@ -316,19 +296,6 @@ class BatchEvaluator:
             self._compiled = cached
         return cached
 
-    def _worker_payload(self) -> ShippedArtifact:
-        """The :class:`ShippedArtifact` handed to the pool fan-out.
-
-        Shared-memory transport ships one small manifest pickle per worker
-        and maps the tables; the fallback pickles the device (the compiled
-        artifact when we have one — a plain :class:`Ppuf` otherwise, whose
-        workers re-derive their caches: the legacy baseline).
-        """
-        if self.share_memory:
-            return ship_compiled(self.compiled_device())
-        device = self._compiled if self._compiled is not None else self.ppuf
-        return ShippedArtifact(("pickle", device))
-
     # ------------------------------------------------------------------
     # chunk evaluation (also runs inside pool workers)
     # ------------------------------------------------------------------
@@ -339,42 +306,30 @@ class BatchEvaluator:
             return self._evaluate_chunk_circuit(challenges)
         return self._evaluate_chunk_maxflow(challenges)
 
-    def _buffers(self, instances: int, n: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Views of the reusable dense buffers sized for this chunk."""
+    def _buffers(self, instances: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Views of the reusable edge-table buffers sized for this chunk.
+
+        The residual buffer carries the edge solvers' ``(B, 2E + 1)``
+        layout: forward arcs, reverse arcs, then the pinned-zero sentinel
+        column.  Leading-axis slices of a C-contiguous allocation stay
+        contiguous, so the views satisfy the ``residual_out`` contract.
+        """
+        edges = self._topology.num_edges
         capacity = self._capacity_buffer
-        if capacity is None or capacity.shape[0] < instances or capacity.shape[1] != n:
+        if capacity is None or capacity.shape[0] < instances:
             size = max(instances, 2 * self.chunk_size)
-            self._capacity_buffer = np.zeros((size, n, n), dtype=np.float64)
-            self._residual_buffer = np.empty((size, n, n), dtype=np.float64)
+            self._capacity_buffer = np.empty((size, edges), dtype=np.float64)
+            self._residual_buffer = np.empty((size, 2 * edges + 1), dtype=np.float64)
             capacity = self._capacity_buffer
         return capacity[:instances], self._residual_buffer[:instances]
 
-    def _edge_buffers(self, instances: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Views of the reusable edge-array buffers sized for this chunk.
-
-        The residual buffer carries the solver's ``(B, 2E + 1)`` layout:
-        forward arcs, reverse arcs, then the pinned-zero sentinel column.
-        Leading-axis slices of a C-contiguous allocation stay contiguous,
-        so the views satisfy the solvers' ``residual_out`` contract.
-        """
-        edges = self._topology.num_edges
-        capacity = self._edge_capacity_buffer
-        if capacity is None or capacity.shape[0] < instances:
-            size = max(instances, 2 * self.chunk_size)
-            self._edge_capacity_buffer = np.empty((size, edges), dtype=np.float64)
-            self._edge_residual_buffer = np.empty(
-                (size, 2 * edges + 1), dtype=np.float64
-            )
-            capacity = self._edge_capacity_buffer
-        return capacity[:instances], self._edge_residual_buffer[:instances]
-
-    def _evaluate_chunk_edges(self, challenges):
-        """Edge-array fast path: one (2C, E) table over the shared CSR."""
+    def _evaluate_chunk_maxflow(self, challenges):
+        """One ``(2C, E)`` capacity table over the shared CSR, one dispatch."""
         stats = SolveStats(algorithm=self.algorithm)
         ppuf = self.ppuf
         count = len(challenges)
         with stats.phase("prepare"):
-            capacity, residual = self._edge_buffers(2 * count)
+            capacity, residual = self._buffers(2 * count)
             sources = np.fromiter(
                 (challenge.source for challenge in challenges),
                 dtype=np.int64, count=count,
@@ -398,15 +353,15 @@ class BatchEvaluator:
                         network._capacities_for_bit(0),
                     ),
                 )
-        result = self._spec.solve_tensor_edges(
-            self._topology,
-            capacity,
-            np.tile(sources, 2),
-            np.tile(sinks, 2),
-            residual_out=residual,
-            stats=stats,
-        )
-        values = result.values
+            sources = np.tile(sources, 2)
+            sinks = np.tile(sinks, 2)
+        if self._spec.tensor_edge_fn is not None:
+            values = self._spec.solve_tensor_edges(
+                self._topology, capacity, sources, sinks,
+                residual_out=residual, stats=stats,
+            ).values
+        else:
+            values = self._solve_rows(capacity, sources, sinks, stats)
         with stats.phase("compare"):
             comparator = ppuf.comparator
             bits = (
@@ -414,56 +369,19 @@ class BatchEvaluator:
             ).astype(np.uint8)
         return bits, stats
 
-    def _evaluate_chunk_maxflow(self, challenges):
-        if self._spec.tensor_edge_fn is not None:
-            return self._evaluate_chunk_edges(challenges)
-        stats = SolveStats(algorithm=self.algorithm)
-        ppuf = self.ppuf
-        n = ppuf.n
-        count = len(challenges)
-        src, dst = self._edge_src, self._edge_dst
-        with stats.phase("prepare"):
-            capacity, residual = self._buffers(2 * count, n)
-            terminals = np.empty((2, 2 * count), dtype=np.int64)
-            per_bit = [
-                (
-                    network._capacities_for_bit(0),
-                    network._capacities_for_bit(1),
-                )
-                for network in (ppuf.network_a, ppuf.network_b)
-            ]
-            for index, challenge in enumerate(challenges):
-                # Same selection arithmetic as Crossbar.bits_for_edges +
-                # PpufNetwork.capacities, minus the per-call validation.
-                choose = challenge.bits[self._cells] == 1
-                terminals[0, index] = terminals[0, index + count] = challenge.source
-                terminals[1, index] = terminals[1, index + count] = challenge.sink
-                for half, (cap0, cap1) in enumerate(per_bit):
-                    capacity[index + half * count, src, dst] = np.where(
-                        choose, cap1, cap0
-                    )
-        if self._spec.tensor_fn is not None:
-            result = self._spec.solve_tensor(
-                capacity, terminals[0], terminals[1],
-                residual_out=residual, stats=stats,
+    def _solve_rows(self, capacity, sources, sinks, stats) -> np.ndarray:
+        """Scalar exact solver: each table row scattered into one reused
+        ``(n, n)`` capacity/residual pair and solved in place."""
+        topology = self._topology
+        dense = np.zeros((topology.n, topology.n), dtype=np.float64)
+        scratch = np.empty_like(dense)
+        values = np.empty(len(capacity), dtype=np.float64)
+        for row in range(len(capacity)):
+            dense[topology.edge_src, topology.edge_dst] = capacity[row]
+            values[row] = self._spec.solve_matrix(
+                dense, scratch, int(sources[row]), int(sinks[row]), stats=stats
             )
-            values = result.values
-        else:
-            values = np.empty(2 * count, dtype=np.float64)
-            for row in range(2 * count):
-                values[row] = self._spec.solve_matrix(
-                    capacity[row],
-                    residual[row],
-                    int(terminals[0, row]),
-                    int(terminals[1, row]),
-                    stats=stats,
-                )
-        with stats.phase("compare"):
-            comparator = ppuf.comparator
-            bits = (
-                (values[:count] + comparator.offset) > values[count:]
-            ).astype(np.uint8)
-        return bits, stats
+        return values
 
     def _evaluate_chunk_circuit(self, challenges):
         stats = SolveStats(algorithm=self.algorithm)
@@ -493,11 +411,11 @@ class BatchEvaluator:
 _WORKER_EVALUATOR: Optional[BatchEvaluator] = None
 
 
-def _worker_init(payload, engine, algorithm, chunk_size):
+def _worker_init(payload, device_id, engine, algorithm, chunk_size):
     global _WORKER_EVALUATOR
-    # materialise_payload resolves every transport kind (shm, pickle …)
-    # and retains shared-memory mappings for the worker's lifetime.
-    device = materialise_payload(payload)
+    # The worker maps the shipped pack once; the mapping outlives the
+    # producer's unlink for the worker's lifetime.
+    device = materialise_payload(payload, device_id)
     _WORKER_EVALUATOR = BatchEvaluator(
         device,
         engine=engine,

@@ -26,11 +26,11 @@ evaluation spine (:mod:`repro.ppuf.engines`,
 :class:`~repro.ppuf.verification.PpufVerifier`, the batch pipeline and the
 service verification workers).
 
-For multi-process fan-out, :func:`repro.runtime.provision.share_compiled`
-/ :func:`~repro.runtime.provision.attach_compiled` place the tables in
-one shared-memory block so every worker *maps* them (zero-copy) instead
-of receiving a pickled device; both are re-exported here for their
-historical import site.
+On disk and across processes the artifact travels in one container, the
+mmap'd :class:`~repro.ppuf.pack.ArtifactPack`: a fleet pack, a server's
+enrollment pack, or the temporary single-device pack
+:func:`repro.runtime.provision.ship_compiled` hands to pool workers, who
+*map* the tables instead of receiving a pickled device.
 
 This mirrors the paper's public-model hand-off: compilation *is* the
 manufacturer publishing the simulation model; everything in the artifact
@@ -229,9 +229,9 @@ class CompiledDevice:
     """An immutable, versioned, serialisable PPUF evaluation artifact.
 
     Build one with :meth:`repro.ppuf.device.Ppuf.compile` (or
-    :func:`compile_ppuf`), persist it with
-    :func:`repro.ppuf.io.save_compiled` /
-    :func:`repro.ppuf.io.load_compiled`, evaluate through
+    :func:`compile_ppuf`), persist it in an artifact pack
+    (:class:`~repro.ppuf.pack.PackWriter` /
+    :class:`~repro.ppuf.pack.ArtifactPack`), evaluate through
     :meth:`response` / :meth:`responses` or hand it to
     :class:`~repro.ppuf.batch.BatchEvaluator` and the service layer.
 
@@ -448,7 +448,7 @@ class CompiledDevice:
     # serialisation
     # ------------------------------------------------------------------
     def header(self) -> dict:
-        """The JSON header persisted next to the arrays (npz / shm manifest)."""
+        """The JSON header persisted next to the arrays (pack record)."""
         return {
             "format": FORMAT_VERSION,
             "n": self.n,
@@ -574,17 +574,6 @@ def compile_ppuf(
     )
 
 
-# ----------------------------------------------------------------------
-# shm transport — moved to repro.runtime.provision, the one module
-# allowed to touch the shm machinery (CI greps).  Re-exported here (at
-# the bottom, once CompiledDevice exists, because provision's attach
-# path imports it back) for the historical import site.
-# ----------------------------------------------------------------------
-from repro.runtime.provision import (  # noqa: E402
-    attach_compiled,
-    share_compiled,
-)
-
 __all__ = [
     "CAPACITY_KEYS",
     "CIRCUIT_KEYS",
@@ -592,7 +581,5 @@ __all__ = [
     "CompiledDevice",
     "CompiledNetwork",
     "NetworkTables",
-    "attach_compiled",
     "compile_ppuf",
-    "share_compiled",
 ]

@@ -301,9 +301,8 @@ class Ppuf:
 
         See :mod:`repro.ppuf.compiled`: the artifact holds both networks'
         per-bit tables as flat arrays, evaluates bit-identically to this
-        device, pickles light, persists via
-        :func:`repro.ppuf.io.save_compiled` and fans out to workers over
-        shared memory.  ``include_circuit=False`` skips the I–V tabulation
+        device, pickles light, and persists and fans out to workers as an
+        artifact pack (:mod:`repro.ppuf.pack`).  ``include_circuit=False`` skips the I–V tabulation
         for verification-only use.
         """
         return compile_ppuf(
@@ -390,10 +389,9 @@ class Ppuf:
         """Batched response bits: challenge matrix in, response vector out.
 
         The throughput path: capacities for all challenges are assembled
-        into one table and solved in lockstep — edge arrays over the
-        shared CSR for ``algorithm="batched_dinic"`` (default), a dense
-        stack for ``"batched"`` — or one at a time with an exact named
-        solver.  See
+        into one edge table over the shared CSR and solved in lockstep for
+        ``algorithm="batched_dinic"`` (default), or row by row with any
+        other exact named solver.  See
         :class:`repro.ppuf.batch.BatchEvaluator` for the pipeline and
         :class:`repro.ppuf.batch.BatchReport` for per-stage accounting.
         """

@@ -3,18 +3,17 @@
 Every serialised artifact — the public device JSON
 (:func:`repro.ppuf.io.ppuf_to_dict`), the CRP dataset wire format
 (:meth:`repro.ppuf.crp.CRPDataset.to_json`) and the compiled evaluation
-artifact (:func:`repro.ppuf.io.save_compiled`) — stamps the same
-``"format"`` field.  Readers check it *first* and fail with one clear
-message instead of erroring deep inside reconstruction when a future
-format changes shape.
+artifact header (:meth:`repro.ppuf.compiled.CompiledDevice.header`) —
+stamps the same ``"format"`` field.  Readers check it *first* and fail
+with one clear message instead of erroring deep inside reconstruction
+when a future format changes shape.
 
 The packed fleet container (:mod:`repro.ppuf.pack`) is a *different*
 on-disk surface with its own version line: ``format: 2`` identifies the
 pack container, while the per-device headers embedded in its records stay
-on the compiled-artifact schema (version 1) so a record slice rebuilds
-through the exact same :meth:`CompiledDevice.from_arrays
-<repro.ppuf.compiled.CompiledDevice.from_arrays>` path as a standalone
-``.npz``.
+on the compiled-artifact schema (version 1) and rebuild through
+:meth:`CompiledDevice.from_arrays
+<repro.ppuf.compiled.CompiledDevice.from_arrays>`.
 
 This lives in its own module because :mod:`repro.ppuf.io` imports the
 container modules (a constant shared the other way would be a cycle).

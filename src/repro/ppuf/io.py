@@ -173,69 +173,3 @@ def load_crps(path: str) -> CRPDataset:
         raise ReproError(f"cannot read CRP file {path!r}: {error}") from error
     except (KeyError, TypeError, ValueError) as error:
         raise ReproError(f"malformed CRP file {path!r}: {error}") from error
-
-
-def save_compiled(device, path: str) -> None:
-    """Write a compiled artifact to ``path`` (npz archive + JSON header).
-
-    The archive holds the artifact's flat arrays under their canonical
-    names plus one ``header`` entry: the JSON metadata (format version,
-    geometry, technology card, device id).  The write follows the same
-    durability contract as every other writer in this module: the temp
-    file is fsynced before :func:`publish_temp` re-modes it (mkstemp's
-    0600 would hide the artifact from other-uid readers) and atomically
-    renames it over ``path``.
-    """
-    header = np.array(json.dumps(device.header()))
-    directory = os.path.dirname(os.path.abspath(path))
-    descriptor, temp_path = tempfile.mkstemp(
-        dir=directory, prefix=os.path.basename(path) + ".", suffix=".tmp.npz"
-    )
-    os.close(descriptor)
-    try:
-        # temp_path ends in .npz, so np.savez appends nothing.
-        np.savez(temp_path, header=header, **device.to_arrays())
-        with open(temp_path, "rb") as handle:
-            os.fsync(handle.fileno())
-        publish_temp(temp_path, path)
-    except BaseException:
-        try:
-            os.unlink(temp_path)
-        except OSError:
-            pass
-        raise
-
-
-def load_compiled(path: str):
-    """Read a compiled artifact written by :func:`save_compiled`.
-
-    Raises :class:`ReproError` (naming the path, and the found version on
-    a schema mismatch) on an unreadable, malformed or wrong-format file.
-    """
-    import zipfile
-
-    from repro.ppuf.compiled import CompiledDevice
-
-    try:
-        with np.load(path, allow_pickle=False) as data:
-            if "header" not in data.files:
-                raise ReproError(
-                    f"malformed compiled artifact {path!r}: no header entry"
-                )
-            header = json.loads(str(data["header"][()]))
-            arrays = {name: data[name] for name in data.files if name != "header"}
-    except ReproError:
-        raise
-    except OSError as error:
-        raise ReproError(
-            f"cannot read compiled artifact {path!r}: {error}"
-        ) from error
-    except (ValueError, KeyError, zipfile.BadZipFile) as error:
-        raise ReproError(
-            f"malformed compiled artifact {path!r}: {error}"
-        ) from error
-    try:
-        check_format("compiled PPUF artifact", header, path=path)
-    except ValueError as error:
-        raise ReproError(str(error)) from None
-    return CompiledDevice.from_arrays(header, arrays)

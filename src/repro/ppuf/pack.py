@@ -1,16 +1,15 @@
 """Packed artifact fleets: one mmap'd file for a million devices.
 
-The registry's per-device ``<device_id>.npz`` artifacts (PR 5) make one
-cold claim cheap, but at fleet scale the *container* becomes the cost:
-10⁶ devices mean 10⁶ files, 10⁶ open/parse round trips, and no page
-sharing between verify workers that load the same artifact.  This module
-packs a whole fleet into a single append-only file that a verifier opens
-**once** with :func:`numpy.memmap`; serving a device is then an index
-lookup plus a row slice, and every process mapping the pack shares pages
-through the OS page cache — the same economics
-:func:`~repro.ppuf.compiled.share_compiled` gives one device over shared
-memory, extended to the whole directory of public models the paper's
-protocol assumes.
+The pack is the one on-disk and cross-process format of a compiled
+artifact.  A whole fleet lives in a single append-only file that a
+verifier opens **once** with :func:`numpy.memmap`; serving a device is
+then an index lookup plus a row slice, and every process mapping the pack
+shares pages through the OS page cache — one file instead of one per
+device, one open instead of one per cold claim.  The same container
+carries a single device to pool workers (a temporary pack on tmpfs, see
+:func:`scratch_pack_path`) and a server's JSON-enrolled devices (its
+private enrollment pack): the directory of public models the paper's
+protocol assumes, in one format.
 
 On-disk layout (container ``format: 2``)
 ----------------------------------------
@@ -24,10 +23,10 @@ On-disk layout (container ``format: 2``)
 
 Each record's header JSON carries the device id, the embedded
 compiled-artifact header (schema version 1 — a record slice rebuilds
-through the exact :meth:`CompiledDevice.from_arrays
-<repro.ppuf.compiled.CompiledDevice.from_arrays>` path a standalone
-``.npz`` does) and the layout of its raw arrays: name, dtype, shape and
-byte offset relative to the record's 64-byte-aligned data start.
+through :meth:`CompiledDevice.from_arrays
+<repro.ppuf.compiled.CompiledDevice.from_arrays>`) and the layout of its
+raw arrays: name, dtype, shape and byte offset relative to the record's
+64-byte-aligned data start.
 
 Append protocol and durability
 ------------------------------
@@ -72,6 +71,23 @@ ALIGNMENT = 64
 
 _FILE_HEADER = struct.Struct("<8sII")
 _RECORD_PREFIX = struct.Struct("<4sQ")
+
+#: tmpfs mount for process-private packs, used when it is writable.
+SCRATCH_DIR = "/dev/shm"
+
+
+def scratch_pack_path(prefix: str) -> str:
+    """Reserve a unique, empty file for a process-private pack.
+
+    The file lands on tmpfs (:data:`SCRATCH_DIR`) when the host has a
+    writable one — the pack is then plain memory that every process
+    mapping it shares page for page — and in the default temp directory
+    otherwise.  The caller owns the file and must unlink it.
+    """
+    directory = SCRATCH_DIR if os.access(SCRATCH_DIR, os.W_OK) else None
+    descriptor, path = tempfile.mkstemp(prefix=prefix, suffix=".pack", dir=directory)
+    os.close(descriptor)
+    return path
 
 
 def _padding(position: int) -> int:
@@ -173,7 +189,7 @@ class PackWriter:
     * :meth:`create` stages a brand-new pack and publishes it atomically
       on :meth:`close` (temp file + fsync + chmod + :func:`os.replace`);
     * :meth:`open` appends to an existing pack in place (creating it with
-      a bare file header when missing), fsyncing on close.
+      a bare file header when missing or empty), fsyncing on close.
 
     Both are context managers; an exception inside the ``with`` block
     aborts a staged create (the temp file is removed) while an append
@@ -202,13 +218,13 @@ class PackWriter:
 
     @classmethod
     def open(cls, path: str) -> "PackWriter":
-        """Open ``path`` for appending (created with a header if missing).
+        """Open ``path`` for appending (given a header if missing or empty).
 
         The existing records are scanned first: a corrupt or truncated
         tail from an interrupted append is truncated away (with a logged
         warning) so new records always extend a valid pack.
         """
-        if not os.path.exists(path):
+        if not os.path.exists(path) or os.path.getsize(path) == 0:
             handle = _io.open(path, "wb")
             handle.write(_FILE_HEADER.pack(PACK_MAGIC, PACK_FORMAT_VERSION, 0))
             return cls(path, handle)
@@ -287,6 +303,15 @@ class PackWriter:
     def __contains__(self, device_id: str) -> bool:
         return device_id in self._ids
 
+    def flush(self) -> None:
+        """Hand every appended record to the OS (no fsync).
+
+        After this, other processes that (re)scan the pack see the new
+        records — enough for a process-private pack on tmpfs, where
+        durability is moot.
+        """
+        self._handle.flush()
+
     # ------------------------------------------------------------------
     def close(self, *, abort: bool = False) -> None:
         """Flush, fsync and (for :meth:`create`) atomically publish."""
@@ -301,13 +326,16 @@ class PackWriter:
         finally:
             handle.close()
         if self._temp_path is not None:
-            if abort:
+            try:
+                if not abort:
+                    publish_temp(self._temp_path, self.path)
+            finally:
                 try:
+                    # Gone already once published; a stage that was
+                    # aborted (or failed to publish) must not linger.
                     os.unlink(self._temp_path)
                 except OSError:
                     pass
-            else:
-                publish_temp(self._temp_path, self.path)
 
     def __enter__(self) -> "PackWriter":
         return self
@@ -345,17 +373,21 @@ class ArtifactPack:
             )
         self._cache_limit = int(cache_devices)
         self._cache: "OrderedDict[str, CompiledDevice]" = OrderedDict()
+        self._data, self._end, self._index = self._load()
+
+    def _load(self):
         try:
-            with open(path, "rb") as handle:
-                self._index, self._end = _scan(handle, path)
+            with open(self.path, "rb") as handle:
+                index, end = _scan(handle, self.path)
         except OSError as error:
             raise ReproError(
-                f"cannot read artifact pack {path!r}: {error}"
+                f"cannot read artifact pack {self.path!r}: {error}"
             ) from error
-        if self._end > _FILE_HEADER.size:
-            self._data = np.memmap(path, dtype=np.uint8, mode="r")
+        if end > _FILE_HEADER.size:
+            data = np.memmap(self.path, dtype=np.uint8, mode="r")
         else:
-            self._data = np.zeros(0, dtype=np.uint8)  # header-only pack
+            data = np.zeros(0, dtype=np.uint8)  # header-only pack
+        return data, end, index
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -405,8 +437,14 @@ class ArtifactPack:
 
         Drops the device LRU: a superseding append may have replaced a
         cached device's record, and stale tables must never be served.
+        The new mapping is published before the new index, so a reader in
+        another thread never pairs a new record offset with the old,
+        shorter mapping.
         """
-        self.__init__(self.path, cache_devices=self._cache_limit)
+        data, end, index = self._load()
+        self._data, self._end = data, end
+        self._index = index
+        self._cache = OrderedDict()
 
     def stats(self) -> dict:
         """Pack-level accounting (the ``inspect`` CLI surface)."""

@@ -10,9 +10,7 @@ on this layer instead of hand-rolling executors:
   process/thread pool with bounded queues, per-task timeouts,
   crash-restart supervision and graceful drain.
 * :mod:`repro.runtime.provision` — worker-side artifact provisioning:
-  shared-memory blocks, mmap'd pack slices and ``.npz``/dict fallbacks
-  behind one bounded LRU.  The only module allowed to touch
-  ``multiprocessing.shared_memory``.
+  every device reaches a worker as a slice of an mmap'd artifact pack.
 * :mod:`repro.runtime.microbatch` — :class:`MicroBatcher`: generic
   request coalescing (claims, CRPs) with typed failure pass-through.
 * :mod:`repro.runtime.stats` — :class:`RuntimeStats`: exact, mergeable
@@ -24,10 +22,7 @@ from repro.runtime.microbatch import CrpMicroBatcher, MicroBatcher
 from repro.runtime.pool import WorkerPool
 from repro.runtime.provision import (
     ShippedArtifact,
-    attach_compiled,
     materialise_payload,
-    provision_device,
-    share_compiled,
     ship_compiled,
 )
 from repro.runtime.stats import RuntimeStats, merge_runtime_snapshots
@@ -38,10 +33,7 @@ __all__ = [
     "RuntimeStats",
     "ShippedArtifact",
     "WorkerPool",
-    "attach_compiled",
     "materialise_payload",
     "merge_runtime_snapshots",
-    "provision_device",
-    "share_compiled",
     "ship_compiled",
 ]

@@ -1,76 +1,40 @@
-"""Worker-side artifact provisioning: one cache, three transports.
+"""Worker-side artifact provisioning: one format, one transport.
 
 A pool worker verifying claims or solving CRP chunks needs the device's
-compiled tables.  Those tables can arrive three ways, each with its own
-cost profile:
+compiled tables.  They always arrive the same way: as a ``("pack", path)``
+reference to an mmap'd :class:`~repro.ppuf.pack.ArtifactPack` plus the
+device id.  The worker maps each pack once and every device after that is
+an index lookup plus a row slice; every process mapping the same pack
+shares its pages through the OS page cache, so the artifact bytes exist
+once per machine, not once per worker.
 
-* **shared memory** — :func:`share_compiled` places one artifact's arrays
-  in a single ``multiprocessing.shared_memory`` block; every worker
-  *maps* it (:func:`attach_compiled`), zero copies, one small manifest
-  pickle.  The batch pipeline's transport for its one hot device.
-* **pack slice** — a ``("pack", path)`` reference; the worker maps the
-  fleet's mmap'd :class:`~repro.ppuf.pack.ArtifactPack` once and every
-  device after that is an index lookup + row slice.  The service's
-  transport for pack-backed fleets.
-* **fallback** — a pickled :class:`~repro.ppuf.compiled.CompiledDevice`
-  (built from the registry's ``.npz`` artifacts) or, on the legacy path,
-  the enrolled public dict rebuilt via
-  :func:`repro.ppuf.io.ppuf_from_dict`.
+The packs a worker sees are the service's fleet pack, the registry's
+private enrollment pack (see :class:`~repro.service.registry.DeviceRegistry`)
+and the temporary single-device pack :func:`ship_compiled` writes for the
+batch pipeline's pool fan-out.  The enrollment pack grows while workers
+hold it mapped, so a lookup that misses re-scans the pack once before it
+gives up.
 
-All three land behind one process-local bounded LRU
-(:func:`provision_device`): a worker holds at most
-:data:`WORKER_DEVICE_CACHE_SIZE` materialised devices — a fleet of
-millions must not be mirrored into every worker's memory — and the pack
-mappings are shared per path, so the artifact bytes exist once per
-machine (OS page cache), not once per worker.
-
-This module is the **only** place in the repo allowed to touch
-``multiprocessing.shared_memory`` (CI greps for it); the historical
-import sites (``repro.ppuf.compiled``) re-export from here.
+The one per-worker device cache is each mapped pack's own LRU, opened
+with :data:`WORKER_DEVICE_CACHE_SIZE` entries: a fleet of millions must
+not be mirrored into every worker's memory.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
+import os
 from typing import Optional
-
-import numpy as np
 
 from repro.errors import ReproError
 
-
-def ppuf_from_dict(public):
-    """Rebuild a device from its public description (legacy transport).
-
-    Thin indirection over :func:`repro.ppuf.io.ppuf_from_dict`: imported
-    lazily so this low-level runtime module never participates in the
-    ``ppuf`` package's import graph (``repro.ppuf.compiled`` re-exports
-    from here), and left at module scope so tests can monkeypatch the
-    rebuild step.
-    """
-    from repro.ppuf import io
-
-    return io.ppuf_from_dict(public)
-
-
-#: Bound on the per-worker device cache.  Small on purpose: a pool worker
-#: only needs the devices it is actively working on.  Read at insertion
-#: time so tests (and operators) can retune a live process.
+#: Bound on each mapped pack's device LRU in a worker.  Small on purpose:
+#: a pool worker only needs the devices it is actively working on.  Read
+#: when a pack is first mapped, so tests (and operators) can retune it.
 WORKER_DEVICE_CACHE_SIZE = 32
 
-# Process-local LRU device cache for pool workers, keyed by device_id.
-# The id is content-derived, so a stale entry is impossible — a changed
-# description is a different id.
-_WORKER_DEVICES: "OrderedDict[str, object]" = OrderedDict()
-
-# Process-local pack mappings, keyed by path: map each fleet file exactly
-# once per worker, slice per device.
+# Process-local pack mappings, keyed by path: map each pack exactly once
+# per worker, slice per device.
 _WORKER_PACKS: dict = {}
-
-# Shared-memory segments attached by this process, kept referenced so the
-# mappings outlive cache eviction of the devices viewing them (the numpy
-# views pin the buffer; holding the handle too keeps teardown explicit).
-_WORKER_SEGMENTS: list = []
 
 
 def _pack_device(path: str, device_id: str):
@@ -78,196 +42,78 @@ def _pack_device(path: str, device_id: str):
 
     pack = _WORKER_PACKS.get(path)
     if pack is None:
-        pack = _WORKER_PACKS[path] = ArtifactPack(path)
+        pack = _WORKER_PACKS[path] = ArtifactPack(
+            path, cache_devices=WORKER_DEVICE_CACHE_SIZE
+        )
+    elif device_id not in pack:
+        # Appended since this worker mapped the pack (the registry's
+        # enrollment pack grows under its workers): re-scan once.
+        pack.refresh()
     return pack.device(device_id)
 
 
 def materialise_payload(payload, device_id: Optional[str] = None):
     """Turn one worker transport payload into a live device.
 
-    Accepts every transport the pools ship: an enrolled public dict (the
-    legacy path), a ``("pack", path)`` reference, a ``("shm", name,
-    manifest)`` block published by :func:`share_compiled`, a
-    ``("pickle", device)`` wrapper, or an already-materialised device
-    object (returned as-is).
+    The only transport is a ``("pack", path)`` reference; the device is
+    served as zero-copy views into this process's mapping of that pack.
     """
-    if isinstance(payload, dict):
-        return ppuf_from_dict(payload)
-    if isinstance(payload, tuple) and payload:
-        kind = payload[0]
-        if kind == "pack":
-            if device_id is None:
-                raise ReproError("a pack payload needs the device id")
-            return _pack_device(payload[1], device_id)
-        if kind == "shm":
-            _, name, manifest = payload
-            device, shm = attach_compiled(name, manifest)
-            _WORKER_SEGMENTS.append(shm)
-            return device
-        if kind == "pickle":
-            return payload[1]
+    if not (isinstance(payload, tuple) and len(payload) == 2 and payload[0] == "pack"):
+        kind = payload[0] if isinstance(payload, tuple) and payload else type(payload).__name__
         raise ReproError(f"unknown worker payload kind {kind!r}")
-    return payload
-
-
-def provision_device(device_id: str, payload):
-    """Fetch-or-materialise a device, keeping at most the LRU bound.
-
-    The single worker-side entry point the service's verify tasks call:
-    whatever transport ``payload`` uses, the result is cached under its
-    content-derived ``device_id`` and the least-recently-used entries are
-    dropped past :data:`WORKER_DEVICE_CACHE_SIZE`.
-    """
-    device = _WORKER_DEVICES.get(device_id)
-    if device is None:
-        device = materialise_payload(payload, device_id)
-        _WORKER_DEVICES[device_id] = device
-        while len(_WORKER_DEVICES) > WORKER_DEVICE_CACHE_SIZE:
-            _WORKER_DEVICES.popitem(last=False)
-    else:
-        _WORKER_DEVICES.move_to_end(device_id)
-    return device
-
-
-def cache_size() -> int:
-    """Materialised devices currently held by this process's cache."""
-    return len(_WORKER_DEVICES)
+    if device_id is None:
+        raise ReproError("a pack payload needs the device id")
+    return _pack_device(payload[1], device_id)
 
 
 def clear_cache() -> None:
-    """Drop every cached device, pack mapping and shm handle (tests)."""
-    _WORKER_DEVICES.clear()
+    """Drop every pack mapping (and with it every cached device; tests)."""
     _WORKER_PACKS.clear()
-    _WORKER_SEGMENTS.clear()
 
 
 # ----------------------------------------------------------------------
 # producer side: shipping one artifact to a pool
 # ----------------------------------------------------------------------
 class ShippedArtifact:
-    """One device readied for pool fan-out: payload + owned resources.
+    """One device written to a temporary pack for pool fan-out.
 
-    ``payload`` is what the pool initializer receives (picklable);
-    :meth:`close` releases whatever the producer still owns — the
-    shared-memory block on the shm transport, nothing otherwise.  Always
-    ``close()`` after the pool is done (the workers hold their own
-    mappings; closing unlinks the producer's segment).
+    ``payload`` and ``device_id`` are what the pool initializer receives
+    (both picklable and tiny); :meth:`close` unlinks the temporary pack.
+    Always ``close()`` after the pool is done — workers that still map
+    the pack keep their pages until they exit.
     """
 
-    def __init__(self, payload, shm=None):
-        self.payload = payload
-        self._shm = shm
+    def __init__(self, path: str, device_id: str):
+        self.path = path
+        self.device_id = device_id
+
+    @property
+    def payload(self) -> tuple:
+        return ("pack", self.path)
 
     def close(self) -> None:
-        if self._shm is not None:
-            self._shm.close()
-            self._shm.unlink()
-            self._shm = None
+        try:
+            os.unlink(self.path)
+        except FileNotFoundError:
+            pass
 
 
-def ship_compiled(device, *, share_memory: bool = True) -> ShippedArtifact:
-    """Package a compiled device for a :class:`~repro.runtime.pool.WorkerPool`.
+def ship_compiled(device) -> ShippedArtifact:
+    """Write a compiled device to a temporary single-device pack.
 
-    With ``share_memory`` (default) the artifact's arrays go into one
-    shared block and the payload is the tiny ``("shm", name, manifest)``
-    reference; otherwise the payload pickles the device to every worker
-    (the legacy baseline, kept for comparison benchmarks).
+    The pack lands on tmpfs when the host has one (see
+    :func:`repro.ppuf.pack.scratch_pack_path`), so "writing" it is a
+    memory copy and every worker maps the same pages.  An artifact without
+    a device id is packed under a placeholder id.
     """
-    if share_memory:
-        shm, manifest = share_compiled(device)
-        return ShippedArtifact(("shm", shm.name, manifest), shm)
-    return ShippedArtifact(("pickle", device))
+    from repro.ppuf.pack import PackWriter, scratch_pack_path
 
-
-# ----------------------------------------------------------------------
-# shared-memory transport (multi-process fan-out)
-# ----------------------------------------------------------------------
-def share_compiled(device):
-    """Copy an artifact's arrays into one shared-memory block.
-
-    Returns ``(shm, manifest)``: the owning
-    :class:`multiprocessing.shared_memory.SharedMemory` (caller must
-    ``close()`` and ``unlink()`` it) and a small picklable manifest —
-    header plus per-array layout — that :func:`attach_compiled` turns back
-    into a :class:`~repro.ppuf.compiled.CompiledDevice` whose tables
-    *map* the block (zero copies per worker).
-    """
-    from multiprocessing import shared_memory
-
-    arrays = device.to_arrays()
-    layout = []
-    offset = 0
-    for name, array in arrays.items():
-        layout.append(
-            {
-                "name": name,
-                "offset": offset,
-                "shape": list(array.shape),
-                "dtype": str(array.dtype),
-            }
-        )
-        offset += array.nbytes
-    shm = shared_memory.SharedMemory(create=True, size=max(offset, 1))
+    device_id = device.device_id or "shipped"
+    shipped = ShippedArtifact(scratch_pack_path("repro-ship-"), device_id)
     try:
-        for entry, array in zip(layout, arrays.values()):
-            view = np.ndarray(
-                array.shape,
-                dtype=array.dtype,
-                buffer=shm.buf,
-                offset=entry["offset"],
-            )
-            np.copyto(view, array)
+        with PackWriter.create(shipped.path) as writer:
+            writer.add(device, device_id=device_id)
     except BaseException:
-        shm.close()
-        shm.unlink()
+        shipped.close()
         raise
-    manifest = {"header": device.header(), "arrays": layout}
-    return shm, manifest
-
-
-def attach_compiled(name: str, manifest: dict, *, untrack: bool = True):
-    """Map a shared artifact published by :func:`share_compiled`.
-
-    Returns ``(device, shm)``; the caller must keep ``shm`` referenced for
-    the device's lifetime and ``close()`` it when done.  The attached
-    arrays view the shared buffer directly — nothing is copied.
-
-    ``untrack`` (default) detaches the mapping from this process's
-    resource tracker so a worker's exit cannot unlink a segment the
-    sharing process still owns; pass ``False`` when attaching from the
-    owning process itself (its own registration must survive).
-    """
-    from multiprocessing import shared_memory
-
-    from repro.ppuf.compiled import CompiledDevice
-
-    try:
-        shm = shared_memory.SharedMemory(name=name, track=untrack is False)
-    except TypeError:  # Python < 3.13: no track flag
-        if untrack:
-            # Attaching would register the segment with the resource
-            # tracker, which then unlinks it when a worker exits (and,
-            # under fork, is *shared* with the owning process, so even an
-            # unregister here would clobber the owner's bookkeeping).
-            # Suppress the registration instead: ownership stays with the
-            # sharing process, whose own registration is untouched.
-            from multiprocessing import resource_tracker
-
-            original = resource_tracker.register
-            resource_tracker.register = lambda *a, **k: None
-            try:
-                shm = shared_memory.SharedMemory(name=name)
-            finally:
-                resource_tracker.register = original
-        else:
-            shm = shared_memory.SharedMemory(name=name)
-    arrays = {
-        entry["name"]: np.ndarray(
-            tuple(entry["shape"]),
-            dtype=np.dtype(entry["dtype"]),
-            buffer=shm.buf,
-            offset=entry["offset"],
-        )
-        for entry in manifest["arrays"]
-    }
-    return CompiledDevice.from_arrays(manifest["header"], arrays), shm
+    return shipped

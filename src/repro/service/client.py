@@ -234,8 +234,8 @@ class ServiceClient:
 
         ``ppuf`` may be a live :class:`~repro.ppuf.device.Ppuf` or a
         :class:`~repro.ppuf.compiled.CompiledDevice` (whose stamped
-        ``device_id`` identifies the enrolled silicon — ``repro compile``
-        produces these and ``repro auth --compiled`` loads them).
+        ``device_id`` identifies the enrolled silicon — ``repro pack
+        build`` produces these and ``repro auth --pack`` loads them).
 
         ``tamper`` receives each outgoing wire-claim dict and returns the
         (possibly mutated) dict to send; ``delay`` sleeps that many seconds

@@ -100,7 +100,6 @@ class ShardWorkerSpec:
     verify_timeout: float = 60.0
     max_connections: int = 256
     allow_enroll: bool = True
-    use_compiled: bool = True
     seed: Optional[int] = None
     host: str = "127.0.0.1"
 
@@ -126,8 +125,6 @@ class ShardWorkerSpec:
             args += ["--seed", str(self.seed + shard_index)]
         if not self.allow_enroll:
             args.append("--no-enroll")
-        if not self.use_compiled:
-            args.append("--no-compiled")
         return args
 
 

@@ -19,13 +19,17 @@ its name.
 
 The registry also serves *compiled* evaluation artifacts
 (:class:`~repro.ppuf.compiled.CompiledDevice`) through a bounded LRU of
-warm per-device handles.  Cold misses fill from, in order:
+warm per-device handles.  Cold misses fill from one of two artifact packs:
 
-1. a packed fleet file (:class:`~repro.ppuf.pack.ArtifactPack`, one mmap
-   shared by every device — the fleet-scale tier);
-2. the legacy per-device ``<device_id>.npz`` next to the JSON;
-3. compilation from the enrolled description (persisted as ``.npz`` when
-   a directory is configured).
+1. the packed fleet file (:class:`~repro.ppuf.pack.ArtifactPack`, one mmap
+   shared by every device).  It is also how compiled artifacts persist
+   across restarts: ``repro pack build --registry DIR``;
+2. the registry's private *enrollment pack*: a JSON-enrolled device with
+   no fleet-pack record is compiled on first use and appended to a
+   temporary pack on tmpfs, which verification workers map exactly like
+   the fleet pack (:meth:`DeviceRegistry.artifact_payload`).  Only the
+   registry's own process writes it; it is removed by
+   :meth:`DeviceRegistry.close` or when the registry is garbage-collected.
 """
 
 from __future__ import annotations
@@ -34,20 +38,16 @@ import hashlib
 import json
 import logging
 import os
+import threading
+import weakref
 from collections import OrderedDict
 from typing import Dict, List, Optional, Union
 
 from repro.errors import ReproError, ServiceError
 from repro.ppuf.compiled import CompiledDevice
 from repro.ppuf.device import Ppuf
-from repro.ppuf.io import (
-    atomic_write_text,
-    load_compiled,
-    ppuf_from_dict,
-    ppuf_to_dict,
-    save_compiled,
-)
-from repro.ppuf.pack import ArtifactPack
+from repro.ppuf.io import atomic_write_text, ppuf_from_dict, ppuf_to_dict
+from repro.ppuf.pack import ArtifactPack, PackWriter, scratch_pack_path
 
 logger = logging.getLogger(__name__)
 
@@ -70,6 +70,44 @@ def canonical_json(public: dict) -> str:
 def device_id_for(public: dict) -> str:
     """Stable device id: SHA-256 of the canonical public description."""
     return hashlib.sha256(canonical_json(public).encode("utf-8")).hexdigest()
+
+
+def _discard_pack(writer: PackWriter, path: str) -> None:
+    writer.close(abort=True)
+    try:
+        os.unlink(path)
+    except FileNotFoundError:
+        pass
+
+
+class _EnrollmentPack:
+    """A registry's private, append-only pack of JSON-enrolled devices.
+
+    Appends are flushed (not fsynced: the pack is scratch on tmpfs) so a
+    worker that re-scans its mapping sees every finished record.
+    """
+
+    def __init__(self):
+        self.path = scratch_pack_path("repro-enroll-")
+        self.writer = PackWriter.open(self.path)
+        self._reader: Optional[ArtifactPack] = None
+        self._finalizer = weakref.finalize(
+            self, _discard_pack, self.writer, self.path
+        )
+
+    def close(self) -> None:
+        self._finalizer()
+
+    def add(self, artifact: CompiledDevice) -> None:
+        self.writer.add(artifact)
+        self.writer.flush()
+
+    def device(self, device_id: str) -> CompiledDevice:
+        if self._reader is None:
+            self._reader = ArtifactPack(self.path, cache_devices=0)
+        elif device_id not in self._reader:
+            self._reader.refresh()
+        return self._reader.device(device_id)
 
 
 class DeviceRegistry:
@@ -108,6 +146,12 @@ class DeviceRegistry:
         self._public: Dict[str, dict] = {}
         self._devices: Dict[str, Ppuf] = {}
         self._compiled: "OrderedDict[str, CompiledDevice]" = OrderedDict()
+        self._enrollment: Optional[_EnrollmentPack] = None
+        # compiled() runs on executor threads as well as the event loop:
+        # one lock keeps the LRU's check-then-move consistent, the other
+        # keeps enrollment-pack appends (held across a compile) whole.
+        self._compiled_lock = threading.Lock()
+        self._enrollment_lock = threading.Lock()
         if directory is not None:
             os.makedirs(directory, exist_ok=True)
             self.load_directory()
@@ -183,40 +227,61 @@ class DeviceRegistry:
     def compiled(self, device_id: str) -> CompiledDevice:
         """The compiled (capacity-only) evaluation artifact for a device id.
 
-        Warm hits come from a bounded LRU; cold misses fill from the pack
-        (an mmap row slice), then the legacy ``<device_id>.npz``, then
-        compilation (persisted as ``.npz`` when a directory is
-        configured).  Verification needs only the capacity tables, so
-        circuit I–V tables are not built here.
+        Warm hits come from a bounded LRU; cold misses fill from the fleet
+        pack (an mmap row slice), then the enrollment pack, and otherwise
+        compile the enrolled description and append it there.
+        Verification needs only the capacity tables, so circuit I–V tables
+        are not built here.
         """
-        artifact = self._compiled.get(device_id)
-        if artifact is not None:
-            self._compiled.move_to_end(device_id)
-            return artifact
+        with self._compiled_lock:
+            artifact = self._compiled.get(device_id)
+            if artifact is not None:
+                self._compiled.move_to_end(device_id)
+                return artifact
         if self.pack is not None and device_id in self.pack:
             return self._remember(device_id, self.pack.device(device_id))
-        path = self._compiled_path(device_id) if self.directory else None
-        if path is not None and os.path.exists(path):
-            try:
-                artifact = load_compiled(path)
-                if artifact.device_id != device_id:
-                    artifact = None  # stale or foreign artifact: recompile
-            except ReproError:
-                artifact = None
-        if artifact is None:
-            artifact = self.device(device_id).compile(
-                include_circuit=False, device_id=device_id
-            )
-            if path is not None:
-                save_compiled(artifact, path)
+        self.public(device_id)  # ServiceError for an unknown id
+        with self._enrollment_lock:
+            if self._enrollment is None:
+                self._enrollment = _EnrollmentPack()
+            if device_id in self._enrollment.writer:
+                artifact = self._enrollment.device(device_id)
+            else:
+                artifact = self.device(device_id).compile(
+                    include_circuit=False, device_id=device_id
+                )
+                self._enrollment.add(artifact)
         return self._remember(device_id, artifact)
 
+    def artifact_payload(self, device_id: str) -> tuple:
+        """The ``("pack", path)`` reference a worker resolves ``device_id`` in.
+
+        A fleet-pack device needs no work; any other enrolled device is
+        compiled into the enrollment pack first (call this off the event
+        loop).  Every device in the warm LRU that is not in the fleet pack
+        is in the current enrollment pack — :meth:`close` clears the LRU
+        along with the pack to keep it so.
+        """
+        if self.pack is not None and device_id in self.pack:
+            return ("pack", self.pack.path)
+        self.compiled(device_id)
+        return ("pack", self._enrollment.path)
+
+    def close(self) -> None:
+        """Remove the enrollment pack; the next cold miss starts a new one."""
+        with self._enrollment_lock, self._compiled_lock:
+            if self._enrollment is not None:
+                self._enrollment.close()
+                self._enrollment = None
+            self._compiled.clear()
+
     def _remember(self, device_id: str, artifact: CompiledDevice) -> CompiledDevice:
-        self._compiled[device_id] = artifact
-        self._compiled.move_to_end(device_id)
-        if self.compiled_cache_size is not None:
-            while len(self._compiled) > self.compiled_cache_size:
-                self._compiled.popitem(last=False)
+        with self._compiled_lock:
+            self._compiled[device_id] = artifact
+            self._compiled.move_to_end(device_id)
+            if self.compiled_cache_size is not None:
+                while len(self._compiled) > self.compiled_cache_size:
+                    self._compiled.popitem(last=False)
         return artifact
 
     # ------------------------------------------------------------------
@@ -262,6 +327,3 @@ class DeviceRegistry:
 
     def _path(self, device_id: str) -> str:
         return os.path.join(self.directory, f"{device_id}.json")
-
-    def _compiled_path(self, device_id: str) -> str:
-        return os.path.join(self.directory, f"{device_id}.npz")

@@ -51,7 +51,7 @@ from repro.ppuf.delay import lin_mead_delay_bound
 from repro.ppuf.verification import PpufVerifier, verify_compact_claims
 from repro.runtime.microbatch import MicroBatcher
 from repro.runtime.pool import WorkerPool
-from repro.runtime.provision import provision_device
+from repro.runtime.provision import materialise_payload
 from repro.service import wire
 from repro.service.registry import DeviceRegistry
 from repro.service.sessions import ReplayRejected, Session, SessionManager
@@ -69,10 +69,10 @@ def _verify_claim_task(
 ) -> tuple:
     """Verify one wire claim; runs inside a pool worker (or thread).
 
-    ``payload`` is the device transport: a public dict or a compiled
-    artifact (see :func:`repro.runtime.provision.provision_device`, the
-    worker-side LRU every transport lands behind).  Returns ``(accepted, reason,
-    verify_seconds, fault)`` with ``reason`` one of ``"ok"``,
+    ``payload`` is the device transport, a ``("pack", path)`` reference
+    (see :func:`repro.runtime.provision.materialise_payload`).  Returns
+    ``(accepted, reason, verify_seconds, fault)`` with ``reason`` one of
+    ``"ok"``,
     ``"incorrect"`` (feasible but wrong), ``"infeasible"``
     (conservation/capacity violation or malformed paths).  ``fault`` is
     ``None`` for expected outcomes; for any *unexpected* exception (e.g. an
@@ -84,7 +84,7 @@ def _verify_claim_task(
 
     start = time.perf_counter()
     try:
-        device = provision_device(device_id, payload)
+        device = materialise_payload(payload, device_id)
         net = device.network_a if network == "a" else device.network_b
         verifier = PpufVerifier(net)
         claim = wire.claim_from_wire(claim_wire)
@@ -123,7 +123,7 @@ def _verify_claims_task(jobs, rtol: float) -> list:
         groups.setdefault((device_id, network), []).append(index)
     for (device_id, network), indices in groups.items():
         try:
-            device = provision_device(device_id, jobs[indices[0]][1])
+            device = materialise_payload(jobs[indices[0]][1], device_id)
             net = device.network_a if network == "a" else device.network_b
         except (VerificationError, ServiceError):
             for index in indices:
@@ -304,11 +304,6 @@ class PpufAuthServer:
     allow_enroll:
         Accept ``enroll`` messages over the wire (disable for a
         pre-provisioned fleet).
-    use_compiled:
-        Ship :class:`~repro.ppuf.compiled.CompiledDevice` artifacts to
-        verification workers (default) — a cold claim maps precomputed
-        capacity tables instead of rebuilding the device and re-deriving
-        its caches.  ``False`` restores the legacy public-dict transport.
     claim_batch_size:
         Micro-batching bound: up to this many concurrent claims coalesce
         into one pool dispatch (verified in lockstep by
@@ -351,7 +346,6 @@ class PpufAuthServer:
         rtol: float = DEFAULT_RTOL,
         seed: Optional[int] = None,
         allow_enroll: bool = True,
-        use_compiled: bool = True,
         claim_batch_size: int = 16,
         claim_batch_linger: float = 0.002,
         verify_timeout: Optional[float] = 60.0,
@@ -368,7 +362,6 @@ class PpufAuthServer:
         self.port = port
         self.rtol = rtol
         self.allow_enroll = allow_enroll
-        self.use_compiled = use_compiled
         self.connection_timeout = connection_timeout
         self.max_connections = max_connections
         self.max_messages_per_connection = max_messages_per_connection
@@ -412,7 +405,7 @@ class PpufAuthServer:
     async def stop(self) -> None:
         # Stop accepting first, then drain in-flight verifications so a
         # claim that already paid for its verify still gets its verdict,
-        # then tear down the sweeper and the pool.
+        # then tear down the sweeper, the pool and the enrollment pack.
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -426,6 +419,7 @@ class PpufAuthServer:
                 pass
             self._sweeper = None
         self.pool.shutdown()
+        self.registry.close()
 
     async def _drain_verifications(self) -> None:
         if self.batcher is not None:
@@ -704,24 +698,22 @@ class PpufAuthServer:
         }
 
     async def _device_payload(self, device_id: str):
-        """The device transport handed to verification workers.
+        """The ``("pack", path)`` reference handed to verification workers.
 
-        A device that lives in the registry's artifact pack ships as a
-        ``("pack", path)`` reference — each worker resolves it against its
-        own long-lived mapping of the pack, so the claim's verify is an
-        index lookup + row slice with no artifact bytes on the wire.
-        Otherwise, on the compiled path the first claim per device pays
-        one compilation (offloaded to the default executor so the event
-        loop keeps serving); every later claim reuses the registry's
-        cached artifact.  Legacy path: the enrolled public dict.
+        Each worker resolves it against its own long-lived mapping of the
+        pack, so the claim's verify is an index lookup + row slice with no
+        artifact bytes on the wire.  A fleet-pack device costs nothing
+        here; a JSON-enrolled one pays one compilation into the registry's
+        enrollment pack on its first claim, offloaded to the default
+        executor so the event loop keeps serving.
         """
-        if not self.use_compiled:
-            return self.registry.public(device_id)
-        pack = getattr(self.registry, "pack", None)
+        pack = self.registry.pack
         if pack is not None and device_id in pack:
             return ("pack", pack.path)
         loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(None, self.registry.compiled, device_id)
+        return await loop.run_in_executor(
+            None, self.registry.artifact_payload, device_id
+        )
 
     def _verdict(self, session: Session, accepted: bool, reason: str, elapsed: float) -> dict:
         self.sessions.close(session)

@@ -148,7 +148,8 @@ class TestShortCircuit:
 
     The guard is enforced, not assumed: WorkerPool is monkeypatched to
     explode on construction, so any short-circuit regression fails loudly
-    on both the edge-array ("batched_dinic") and dense ("batched") paths.
+    on both the lockstep edge-table ("batched_dinic") and row-by-row
+    scalar ("dinic") solver paths.
     """
 
     @pytest.fixture
@@ -163,7 +164,7 @@ class TestShortCircuit:
 
         monkeypatch.setattr(batch_module, "WorkerPool", ExplodingPool)
 
-    @pytest.mark.parametrize("algorithm", ["batched_dinic", "batched"])
+    @pytest.mark.parametrize("algorithm", ["batched_dinic", "dinic"])
     def test_empty_batch_spawns_no_pool(self, small_ppuf, no_pool, algorithm):
         evaluator = BatchEvaluator(small_ppuf, workers=4, algorithm=algorithm)
         bits, report = evaluator.evaluate([])
@@ -171,7 +172,7 @@ class TestShortCircuit:
         assert report.chunks == 0
         assert report.workers == 4
 
-    @pytest.mark.parametrize("algorithm", ["batched_dinic", "batched"])
+    @pytest.mark.parametrize("algorithm", ["batched_dinic", "dinic"])
     def test_single_challenge_spawns_no_pool(
         self, small_ppuf, challenges, no_pool, algorithm
     ):
@@ -186,3 +187,52 @@ class TestShortCircuit:
         evaluator = BatchEvaluator(small_ppuf, workers=4, chunk_size=64)
         bits, _ = evaluator.evaluate(challenges[:6])
         assert np.array_equal(bits, small_ppuf.response_bits(challenges[:6]))
+
+
+def _failing_chunk(challenges):
+    raise RuntimeError("chunk evaluation failed")
+
+
+class TestShippedPackLifecycle:
+    """Pool fan-out ships a temporary pack; it never outlives evaluate()."""
+
+    @pytest.fixture
+    def shipped_paths(self, monkeypatch):
+        from repro.ppuf import batch as batch_module
+
+        paths = []
+        real = batch_module.ship_compiled
+
+        def recording(device):
+            shipped = real(device)
+            paths.append(shipped.path)
+            return shipped
+
+        monkeypatch.setattr(batch_module, "ship_compiled", recording)
+        return paths
+
+    def test_temp_pack_removed_after_evaluate(
+        self, small_ppuf, challenges, looped_bits, shipped_paths
+    ):
+        import os
+
+        bits, report = BatchEvaluator(
+            small_ppuf, workers=2, chunk_size=8
+        ).evaluate(challenges)
+        assert report.workers == 2
+        assert np.array_equal(bits, looped_bits)
+        assert len(shipped_paths) == 1
+        assert not os.path.exists(shipped_paths[0])
+
+    def test_temp_pack_removed_after_a_pool_task_raises(
+        self, small_ppuf, challenges, shipped_paths, monkeypatch
+    ):
+        import os
+
+        from repro.ppuf import batch as batch_module
+
+        monkeypatch.setattr(batch_module, "_worker_chunk", _failing_chunk)
+        with pytest.raises(RuntimeError, match="chunk evaluation failed"):
+            BatchEvaluator(small_ppuf, workers=2, chunk_size=8).evaluate(challenges)
+        assert len(shipped_paths) == 1
+        assert not os.path.exists(shipped_paths[0])

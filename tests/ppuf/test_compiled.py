@@ -1,9 +1,9 @@
 """CompiledDevice unit contract: immutability, transports, formats.
 
 Covers what the conformance suite does not: pickle payload weights (the
-lazy caches must never ride along), shared-memory mapping (workers map the
-tables, they do not copy them), the versioned-format error contract and
-the npz round trip.
+lazy caches must never ride along), the shipped tmpfs pack (workers map
+the tables, they do not copy them), the versioned-format error contract
+and the pack round trip.
 """
 
 import json
@@ -14,20 +14,12 @@ import pytest
 
 from repro.errors import ReproError
 from repro.ppuf import CRPDataset, Ppuf
-from repro.ppuf.compiled import (
-    CompiledDevice,
-    attach_compiled,
-    share_compiled,
-)
+from repro.ppuf.compiled import CompiledDevice
 from repro.ppuf.formats import FORMAT_VERSION
-from repro.ppuf.io import (
-    load_compiled,
-    load_crps,
-    load_ppuf,
-    ppuf_from_dict,
-    ppuf_to_dict,
-    save_compiled,
-)
+from repro.ppuf.io import load_crps, load_ppuf, ppuf_from_dict, ppuf_to_dict
+from repro.ppuf.pack import PACK_MAGIC, ArtifactPack, build_pack
+from repro.runtime import provision
+from repro.runtime.provision import materialise_payload, ship_compiled
 
 
 @pytest.fixture(scope="module")
@@ -115,39 +107,33 @@ class TestPicklePayloads:
 
 
 class TestSharedMemory:
+    """The shipped pack is shared memory: a tmpfs file every worker maps."""
+
     def test_attached_arrays_map_the_block(self, capacity_only):
-        shm, manifest = share_compiled(capacity_only)
+        shipped = ship_compiled(capacity_only)
         try:
-            attached, worker_shm = attach_compiled(shm.name, manifest)
-            try:
-                block = np.frombuffer(worker_shm.buf, dtype=np.uint8)
-                # Mapped, not copied: the attached tables alias the block.
-                assert np.shares_memory(attached.cap0, block)
-                assert np.shares_memory(attached.cap1, block)
-                assert np.array_equal(attached.cap0, capacity_only.cap0)
-            finally:
-                del attached, block
-                worker_shm.close()
+            attached = materialise_payload(shipped.payload, shipped.device_id)
+            block = provision._WORKER_PACKS[shipped.path]._data
+            # Mapped, not copied: the attached tables alias the mapping.
+            assert np.shares_memory(attached.cap0, block)
+            assert np.shares_memory(attached.cap1, block)
+            assert np.array_equal(attached.cap0, capacity_only.cap0)
         finally:
-            shm.close()
-            shm.unlink()
+            provision.clear_cache()
+            shipped.close()
 
     def test_attached_device_answers_identically(self, tiny_ppuf, capacity_only):
-        shm, manifest = share_compiled(capacity_only)
+        shipped = ship_compiled(capacity_only)
         try:
-            attached, worker_shm = attach_compiled(shm.name, manifest)
-            try:
-                challenges = challenges_for(tiny_ppuf, 16, seed=10)
-                assert np.array_equal(
-                    attached.response_bits(challenges),
-                    capacity_only.response_bits(challenges),
-                )
-            finally:
-                del attached
-                worker_shm.close()
+            attached = materialise_payload(shipped.payload, shipped.device_id)
+            challenges = challenges_for(tiny_ppuf, 16, seed=10)
+            assert np.array_equal(
+                attached.response_bits(challenges),
+                capacity_only.response_bits(challenges),
+            )
         finally:
-            shm.close()
-            shm.unlink()
+            provision.clear_cache()
+            shipped.close()
 
 
 class TestRoundTrips:
@@ -160,12 +146,12 @@ class TestRoundTrips:
                 tiny_ppuf.response_bits(challenges, engine=engine),
             )
 
-    def test_npz_roundtrip_bit_identical_both_engines(
+    def test_pack_roundtrip_bit_identical_both_engines(
         self, tiny_ppuf, compiled, tmp_path
     ):
-        path = str(tmp_path / "device.npz")
-        save_compiled(compiled, path)
-        restored = load_compiled(path)
+        path = str(tmp_path / "device.pack")
+        build_pack(path, [compiled])
+        restored = ArtifactPack(path).device(compiled.device_id)
         assert restored.device_id == compiled.device_id
         challenges = challenges_for(tiny_ppuf, 12, seed=12)
         for engine in ("maxflow", "circuit"):
@@ -214,21 +200,22 @@ class TestFormatVersioning:
     def test_compiled_format_mismatch_names_path_and_version(
         self, compiled, tmp_path
     ):
-        header = compiled.header()
-        header["format"] = 99
-        path = str(tmp_path / "future.npz")
-        np.savez(path, header=np.array(json.dumps(header)), **compiled.to_arrays())
-        with pytest.raises(ReproError, match="future.npz.*99"):
-            load_compiled(path)
+        path = tmp_path / "future.pack"
+        build_pack(str(path), [compiled])
+        data = bytearray(path.read_bytes())
+        data[len(PACK_MAGIC):len(PACK_MAGIC) + 4] = (99).to_bytes(4, "little")
+        path.write_bytes(bytes(data))
+        with pytest.raises(ReproError, match="future.pack.*99"):
+            ArtifactPack(str(path))
 
     def test_compiled_garbage_file_names_path(self, tmp_path):
-        path = tmp_path / "noise.npz"
-        path.write_bytes(b"this is not an npz archive")
-        with pytest.raises(ReproError, match="noise.npz"):
-            load_compiled(str(path))
+        path = tmp_path / "noise.pack"
+        path.write_bytes(b"this is not an artifact pack")
+        with pytest.raises(ReproError, match="noise.pack"):
+            ArtifactPack(str(path))
 
-    def test_compiled_missing_header_names_path(self, compiled, tmp_path):
-        path = str(tmp_path / "headless.npz")
-        np.savez(path, **compiled.to_arrays())
-        with pytest.raises(ReproError, match="headless.npz.*header"):
-            load_compiled(path)
+    def test_compiled_missing_header_names_path(self, tmp_path):
+        path = tmp_path / "headless.pack"
+        path.write_bytes(b"PPUF")
+        with pytest.raises(ReproError, match="headless.pack.*header"):
+            ArtifactPack(str(path))

@@ -2,9 +2,10 @@
 
 A :class:`~repro.ppuf.compiled.CompiledDevice` must answer bit-for-bit
 identically to the live :class:`~repro.ppuf.device.Ppuf` it was compiled
-from — for both engines, across device sizes, and through every transport
-(inline, pickled pool workers, shared-memory pool workers).  These tests
-pin that equivalence; CI runs this module as a dedicated step.
+from — for both engines, across device sizes, inline and through pool
+workers (which map a temporary single-device pack, whatever the input
+was).  These tests pin that equivalence; CI runs this module as a
+dedicated step.
 """
 
 import numpy as np
@@ -81,22 +82,33 @@ class TestCircuitConformance:
 
 
 class TestWorkerTransportConformance:
-    """Pool fan-out must be transport-invariant: shm == pickle == inline."""
+    """Pool fan-out must be input-invariant: every device form == inline."""
 
-    def test_shm_and_pickle_workers_match_inline(self, devices):
-        ppuf = devices[(10, 3)]
-        compiled = ppuf.compile(include_circuit=False)
-        challenges = challenges_for(ppuf, 64, seed=77)
-        inline_bits, _ = BatchEvaluator(ppuf).evaluate(challenges)
-        shm_bits, shm_report = BatchEvaluator(
-            compiled, workers=2, chunk_size=16
+    @pytest.fixture(scope="class")
+    def sources(self, circuit_ppuf, tmp_path_factory):
+        from repro.ppuf.pack import ArtifactPack, build_pack
+
+        compiled = circuit_ppuf.compile()
+        path = str(tmp_path_factory.mktemp("transport") / "device.pack")
+        build_pack(path, [compiled])
+        return {
+            "ppuf": circuit_ppuf,
+            "compiled": compiled,
+            "pack": ArtifactPack(path).device(compiled.device_id),
+        }
+
+    @pytest.mark.parametrize("engine", ["maxflow", "circuit"])
+    @pytest.mark.parametrize("source", ["ppuf", "compiled", "pack"])
+    def test_pool_workers_match_inline(self, circuit_ppuf, sources, source, engine):
+        challenges = challenges_for(circuit_ppuf, 16, seed=77)
+        inline_bits, _ = BatchEvaluator(circuit_ppuf, engine=engine).evaluate(
+            challenges
+        )
+        pooled_bits, report = BatchEvaluator(
+            sources[source], engine=engine, workers=2, chunk_size=8
         ).evaluate(challenges)
-        pickle_bits, _ = BatchEvaluator(
-            compiled, workers=2, chunk_size=16, share_memory=False
-        ).evaluate(challenges)
-        assert np.array_equal(shm_bits, inline_bits)
-        assert np.array_equal(pickle_bits, inline_bits)
-        assert shm_report.workers == 2
+        assert np.array_equal(pooled_bits, inline_bits)
+        assert report.workers == 2
 
     def test_live_device_workers_compile_transparently(self, devices):
         # Handing a plain Ppuf to a multi-worker evaluator compiles it

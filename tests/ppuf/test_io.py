@@ -10,13 +10,12 @@ from repro.errors import ReproError
 from repro.ppuf import CRP, CRPDataset, Ppuf
 from repro.ppuf.io import (
     atomic_write_text,
-    load_compiled,
     load_crps,
     load_ppuf,
-    save_compiled,
     save_crps,
     save_ppuf,
 )
+from repro.ppuf.pack import ArtifactPack, build_pack
 
 
 @pytest.fixture(scope="module")
@@ -83,25 +82,26 @@ class TestAtomicWrites:
 
 
 class TestSaveCompiledDurability:
-    """The npz writer must honour the module-wide atomic-write contract."""
+    """Saving compiled artifacts (a fresh pack) honours the module-wide
+    atomic-write contract."""
 
     def test_crash_between_write_and_replace_keeps_old_artifact(
         self, tiny_ppuf, tmp_path, monkeypatch, rng
     ):
-        path = str(tmp_path / "device.npz")
+        path = str(tmp_path / "device.pack")
         original = tiny_ppuf.compile(include_circuit=False)
-        save_compiled(original, path)
+        build_pack(path, [original])
         monkeypatch.setattr(os, "replace", _boom)
         with pytest.raises(RuntimeError):
-            save_compiled(tiny_ppuf.compile(include_circuit=True), path)
+            build_pack(path, [tiny_ppuf.compile(include_circuit=True)])
         monkeypatch.undo()
-        survivor = load_compiled(path)
+        survivor = ArtifactPack(path).device(original.device_id)
         assert not survivor.has_circuit_tables  # the old artifact, intact
         challenges = tiny_ppuf.challenge_space().random_batch(4, rng)
         assert np.array_equal(
             survivor.response_bits(challenges), tiny_ppuf.response_bits(challenges)
         )
-        assert os.listdir(tmp_path) == ["device.npz"]  # no temp droppings
+        assert os.listdir(tmp_path) == ["device.pack"]  # no temp droppings
 
     def test_temp_file_is_fsynced_before_publish(
         self, tiny_ppuf, tmp_path, monkeypatch
@@ -111,8 +111,8 @@ class TestSaveCompiledDurability:
         monkeypatch.setattr(
             os, "fsync", lambda fd: (synced.append(fd), real_fsync(fd))
         )
-        save_compiled(
-            tiny_ppuf.compile(include_circuit=False), str(tmp_path / "d.npz")
+        build_pack(
+            str(tmp_path / "d.pack"), [tiny_ppuf.compile(include_circuit=False)]
         )
         assert synced  # durability: content reaches disk before the rename
 
@@ -120,8 +120,8 @@ class TestSaveCompiledDurability:
         # mkstemp's 0600 must not leak through to the published artifact.
         previous = os.umask(0o022)
         try:
-            path = str(tmp_path / "d.npz")
-            save_compiled(tiny_ppuf.compile(include_circuit=False), path)
+            path = str(tmp_path / "d.pack")
+            build_pack(path, [tiny_ppuf.compile(include_circuit=False)])
             assert os.stat(path).st_mode & 0o777 == 0o644
             text_path = str(tmp_path / "d.json")
             atomic_write_text(text_path, "{}")

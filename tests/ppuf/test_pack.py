@@ -1,9 +1,9 @@
 """Packed artifact fleets: round-trip, append protocol, conformance.
 
-The pack is the fleet-scale container (format 2): one mmap'd file must
-serve every device bit-exactly — against the live device, the per-device
-``.npz`` artifact, and through the batch pipeline — while holding O(1)
-file descriptors and surviving interrupted appends.
+The pack is the one artifact container (format 2): one mmap'd file must
+serve every device bit-exactly — against the live device and through the
+batch pipeline — while holding O(1) file descriptors and surviving
+interrupted appends.
 """
 
 import json
@@ -21,7 +21,6 @@ from repro.ppuf.pack import (
     append_pack,
     build_pack,
 )
-from repro.ppuf.io import load_compiled, save_compiled
 from repro.ppuf.verification import PpufProver, PpufVerifier
 
 FLEET = 5
@@ -169,6 +168,41 @@ class TestAppendProtocol:
         assert not os.path.exists(path)  # aborted stage never published
         assert [n for n in os.listdir(tmp_path) if n.startswith("atomic")] == []
 
+    def test_refresh_sees_flushed_appends_to_a_live_mapping(
+        self, tmp_path, compiled_fleet
+    ):
+        path = str(tmp_path / "live.pack")
+        open(path, "wb").close()  # a reserved, empty file gets a header
+        writer = PackWriter.open(path)
+        try:
+            writer.add(compiled_fleet[0])
+            writer.flush()
+            reader = ArtifactPack(path)
+            first = reader.device(compiled_fleet[0].device_id)
+            writer.add(compiled_fleet[1])
+            writer.flush()
+            assert compiled_fleet[1].device_id not in reader
+            reader.refresh()
+            assert compiled_fleet[1].device_id in reader
+            assert np.array_equal(
+                reader.device(compiled_fleet[1].device_id).cap0,
+                compiled_fleet[1].cap0,
+            )
+            assert np.array_equal(first.cap1, compiled_fleet[0].cap1)
+        finally:
+            writer.close()
+
+    def test_scratch_path_is_a_fresh_empty_file(self):
+        from repro.ppuf.pack import scratch_pack_path
+
+        first, second = scratch_pack_path("t-"), scratch_pack_path("t-")
+        try:
+            assert first != second
+            assert os.path.getsize(first) == 0
+        finally:
+            os.unlink(first)
+            os.unlink(second)
+
 
 class TestFormatErrors:
     def test_bad_magic_rejected(self, tmp_path):
@@ -203,20 +237,17 @@ class TestFormatErrors:
 
 
 class TestConformance:
-    """Pack slice vs per-device .npz vs live device: one truth."""
+    """Pack slice vs in-memory artifact vs live device: one truth."""
 
-    def test_pack_npz_live_agree_on_responses(
-        self, pack_path, tmp_path, fleet, compiled_fleet, rng
+    def test_pack_live_agree_on_responses(
+        self, pack_path, fleet, compiled_fleet, rng
     ):
         pack = ArtifactPack(pack_path)
         for device, compiled in zip(fleet[:3], compiled_fleet[:3]):
-            npz_path = str(tmp_path / f"{compiled.device_id}.npz")
-            save_compiled(compiled, npz_path)
-            from_npz = load_compiled(npz_path)
             from_pack = pack.device(compiled.device_id)
             challenges = device.challenge_space().random_batch(8, rng)
             live = device.response_bits(challenges)
-            assert np.array_equal(from_npz.response_bits(challenges), live)
+            assert np.array_equal(compiled.response_bits(challenges), live)
             assert np.array_equal(from_pack.response_bits(challenges), live)
 
     def test_claim_verification_off_pack_slice(self, pack_path, fleet, compiled_fleet, rng):
@@ -240,8 +271,8 @@ class TestConformance:
     def test_batch_fanout_from_pack_backed_device(
         self, pack_path, fleet, compiled_fleet, rng
     ):
-        # Multi-process path: the pack-backed views are copied into one shm
-        # block for the pool — workers must answer identically.
+        # Multi-process path: the pack-backed views are shipped to the pool
+        # as a temporary single-device pack — workers must answer identically.
         device, compiled = fleet[2], compiled_fleet[2]
         served = ArtifactPack(pack_path).device(compiled.device_id)
         challenges = device.challenge_space().random_batch(8, rng)

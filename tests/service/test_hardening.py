@@ -119,12 +119,13 @@ class TestWorkerFaultContainment:
         assert stats["worker_faults"] == 1
         assert stats["sessions_rejected"] == 1
 
-    def test_verify_task_returns_fault_marker(self, device):
+    def test_verify_task_returns_fault_marker(self, device, tmp_path):
         from repro.ppuf.challenge import ChallengeSpace
-        from repro.ppuf.io import ppuf_to_dict
-        from repro.service.registry import device_id_for
+        from repro.ppuf.pack import build_pack
 
-        public = ppuf_to_dict(device)
+        artifact = device.compile(include_circuit=False)
+        pack_path = str(tmp_path / "device.pack")
+        build_pack(pack_path, [artifact])
         challenge = ChallengeSpace(device.crossbar).random(
             np.random.default_rng(0)
         )
@@ -134,7 +135,7 @@ class TestWorkerFaultContainment:
             "value": 10**400,  # float() of this raises OverflowError
         }
         accepted, reason, seconds, fault = server_module._verify_claim_task(
-            device_id_for(public), public, "a", claim_wire, 1e-9
+            artifact.device_id, ("pack", pack_path), "a", claim_wire, 1e-9
         )
         assert (accepted, reason) == (False, "infeasible")
         assert seconds >= 0
@@ -209,8 +210,9 @@ class TestSweeperSurvival:
 class TestWorkerDeviceCache:
     """Regression: the per-worker device cache grew with the enrolled fleet.
 
-    The cache now lives in :mod:`repro.runtime.provision` (one LRU for
-    every transport); the server's verify tasks go through it.
+    The cache is now each mapped pack's own LRU, bounded by
+    :data:`repro.runtime.provision.WORKER_DEVICE_CACHE_SIZE`; the server's
+    verify tasks resolve every device through it.
     """
 
     def test_cache_is_bounded_and_eviction_preserves_correctness(
@@ -229,32 +231,35 @@ class TestWorkerDeviceCache:
                         await client.authenticate(ppuf) for ppuf in devices
                     ]
                     # The first device was evicted (3 devices, cap 2):
-                    # re-verification must rebuild it and still accept.
+                    # re-verification must re-slice it and still accept.
                     outcomes.append(await client.authenticate(devices[0]))
-            return outcomes
+                    path = server.registry._enrollment.path
+                    cached = len(provision_module._WORKER_PACKS[path]._cache)
+            return outcomes, cached
 
-        outcomes = run(go())
+        outcomes, cached = run(go())
         assert all(outcome.accepted for outcome in outcomes)
-        assert provision_module.cache_size() <= 2
+        assert cached <= 2
+        provision_module.clear_cache()
 
-    def test_lru_order(self, monkeypatch):
+    def test_lru_order(self, devices, monkeypatch, tmp_path):
+        from repro.ppuf.pack import build_pack
+
         monkeypatch.setattr(provision_module, "WORKER_DEVICE_CACHE_SIZE", 2)
         provision_module.clear_cache()
-        calls = []
-
-        def fake_build(public):
-            calls.append(public["id"])
-            return object()
-
-        monkeypatch.setattr(provision_module, "ppuf_from_dict", fake_build)
-        a = provision_module.provision_device("a", {"id": "a"})
-        provision_module.provision_device("b", {"id": "b"})
+        artifacts = [ppuf.compile(include_circuit=False) for ppuf in devices]
+        path = str(tmp_path / "fleet.pack")
+        build_pack(path, artifacts)
+        a, b, c = (artifact.device_id for artifact in artifacts)
+        payload = ("pack", path)
+        first = provision_module.materialise_payload(payload, a)
+        second = provision_module.materialise_payload(payload, b)
         # hit, bumps a
-        assert provision_module.provision_device("a", {"id": "a"}) is a
-        provision_module.provision_device("c", {"id": "c"})  # evicts b (LRU)
-        assert list(provision_module._WORKER_DEVICES) == ["a", "c"]
-        provision_module.provision_device("b", {"id": "b"})  # rebuild
-        assert calls == ["a", "b", "c", "b"]
+        assert provision_module.materialise_payload(payload, a) is first
+        provision_module.materialise_payload(payload, c)  # evicts b (LRU)
+        assert list(provision_module._WORKER_PACKS[path]._cache) == [a, c]
+        # rebuilt from the mapping, not served from the cache
+        assert provision_module.materialise_payload(payload, b) is not second
         provision_module.clear_cache()
 
 

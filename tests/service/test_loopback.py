@@ -118,21 +118,67 @@ class TestHappyPath:
 class TestCompiledVerification:
     """The server's compiled fast path must not change any verdict."""
 
-    def test_verdict_identical_with_and_without_compiled(self, device):
-        async def authenticate(use_compiled):
-            async with await serve(use_compiled=use_compiled) as server:
+    def test_verdict_identical_with_and_without_compiled(self, device, tmp_path):
+        # With: the device arrives precompiled in a fleet pack.  Without:
+        # it is enrolled as public JSON and compiled on its first claim
+        # into the server's enrollment pack.
+        from repro.ppuf.pack import build_pack
+        from repro.service import DeviceRegistry
+
+        pack_path = str(tmp_path / "fleet.pack")
+        build_pack(pack_path, [device.compile(include_circuit=False)])
+
+        async def authenticate(precompiled):
+            registry = DeviceRegistry(pack=pack_path if precompiled else None)
+            async with await serve(registry=registry) as server:
                 async with ServiceClient("127.0.0.1", server.port) as client:
-                    await client.enroll(device)
+                    if not precompiled:
+                        await client.enroll(device)
                     honest = await client.authenticate(device)
                     tampered = await client.authenticate(
                         device, tamper=lambda c: {**c, "value": c["value"] * 2.0}
                     )
             return honest, tampered
 
-        for use_compiled in (True, False):
-            honest, tampered = run(authenticate(use_compiled))
+        for precompiled in (True, False):
+            honest, tampered = run(authenticate(precompiled))
             assert honest.accepted and honest.reason == "ok"
             assert not tampered.accepted and tampered.reason == "incorrect"
+
+    def test_device_enrolled_after_the_worker_mapped_the_pack(
+        self, device, other_device
+    ):
+        # The worker maps the enrollment pack on the first claim; the
+        # second device is appended afterwards and must still resolve
+        # (the worker re-scans its mapping on the miss).
+        async def go():
+            async with await serve(workers=1, rounds=2) as server:
+                async with ServiceClient("127.0.0.1", server.port) as client:
+                    await client.enroll(device)
+                    first = await client.authenticate(device)
+                    await client.enroll(other_device)
+                    second = await client.authenticate(other_device)
+                    again = await client.authenticate(device)
+            return first, second, again
+
+        outcomes = run(go())
+        assert all(o.accepted and o.reason == "ok" for o in outcomes)
+
+    def test_enrollment_pack_is_removed_when_the_server_stops(self, device):
+        import os
+
+        async def go():
+            async with await serve() as server:
+                async with ServiceClient("127.0.0.1", server.port) as client:
+                    await client.enroll(device)
+                    outcome = await client.authenticate(device)
+                path = server.registry._enrollment.path
+                assert os.path.exists(path)
+            return outcome, path
+
+        outcome, path = run(go())
+        assert outcome.accepted
+        assert not os.path.exists(path)
 
     def test_compiled_with_process_pool(self, device):
         async def go():
@@ -145,7 +191,7 @@ class TestCompiledVerification:
 
     def test_prover_can_run_off_the_artifact(self, device):
         # A holder carrying only the compiled artifact (repro auth
-        # --compiled) authenticates like one holding the full description.
+        # --pack) authenticates like one holding the full description.
         artifact = device.compile(include_circuit=False)
 
         async def go():

@@ -75,34 +75,48 @@ class TestCompiledArtifacts:
         with pytest.raises(ServiceError):
             DeviceRegistry().compiled("deadbeef")
 
-    def test_compiled_persists_as_npz_and_reloads(
-        self, tiny_ppuf, tmp_path, rng, monkeypatch
+    def test_compiled_persists_in_enrollment_pack(
+        self, tiny_ppuf, rng, monkeypatch
     ):
-        registry = DeviceRegistry(str(tmp_path))
-        device_id = registry.enroll_ppuf(tiny_ppuf)
-        registry.compiled(device_id)
-        assert os.path.exists(tmp_path / f"{device_id}.npz")
+        from repro.ppuf.pack import ArtifactPack
 
-        reloaded = DeviceRegistry(str(tmp_path))
-        # The restarted registry must come up from the persisted artifact —
-        # recompiling here would mean the npz was written for nothing.
+        registry = DeviceRegistry(compiled_cache_size=1)
+        device_id = registry.enroll_ppuf(tiny_ppuf)
+        kind, path = registry.artifact_payload(device_id)
+        assert kind == "pack"
+        assert ArtifactPack(path).ids() == [device_id]
+
+        other = Ppuf.create(6, 2, np.random.default_rng(34))
+        registry.compiled(registry.enroll_ppuf(other))  # evicts device_id
+        other_id = device_id_for(ppuf_to_dict(other))
+        assert ArtifactPack(path).ids() == sorted([device_id, other_id])
+        # The evicted artifact must come back from the enrollment pack —
+        # recompiling here would mean the append was for nothing.
         monkeypatch.setattr(
             Ppuf, "compile", lambda *a, **k: pytest.fail("recompiled from scratch")
         )
-        artifact = reloaded.compiled(device_id)
+        artifact = registry.compiled(device_id)
         challenges = tiny_ppuf.challenge_space().random_batch(8, rng)
         assert np.array_equal(
             artifact.response_bits(challenges), tiny_ppuf.response_bits(challenges)
         )
+        registry.close()
+        assert not os.path.exists(path)
 
     def test_npz_files_do_not_break_directory_reload(self, tiny_ppuf, tmp_path):
         registry = DeviceRegistry(str(tmp_path))
         device_id = registry.enroll_ppuf(tiny_ppuf)
         registry.compiled(device_id)
+        # Compiled artifacts never land in the directory; a leftover
+        # per-device archive from an older release is not an entry either.
+        assert os.listdir(tmp_path) == [f"{device_id}.json"]
+        (tmp_path / f"{device_id}.npz").write_bytes(b"old archive")
         reloaded = DeviceRegistry(str(tmp_path))
-        assert len(reloaded) == 1  # the .npz next to the .json is not an entry
+        assert len(reloaded) == 1
 
     def test_corrupt_artifact_is_recompiled(self, tiny_ppuf, tmp_path, rng):
+        # A corrupt per-device archive left by an older release is never
+        # read: the device compiles into the enrollment pack instead.
         registry = DeviceRegistry(str(tmp_path))
         device_id = registry.enroll_ppuf(tiny_ppuf)
         (tmp_path / f"{device_id}.npz").write_bytes(b"not an archive")
@@ -111,6 +125,75 @@ class TestCompiledArtifacts:
         assert np.array_equal(
             artifact.response_bits(challenges), tiny_ppuf.response_bits(challenges)
         )
+        registry.close()
+
+    def test_lost_enrollment_pack_is_rebuilt(self, tiny_ppuf, tmp_path, rng):
+        registry = DeviceRegistry(str(tmp_path))
+        device_id = registry.enroll_ppuf(tiny_ppuf)
+        # The enrollment pack is scratch: once closed, the next cold miss
+        # compiles into a new one.
+        _, lost = registry.artifact_payload(device_id)
+        registry.close()
+        assert not os.path.exists(lost)
+        _, path = registry.artifact_payload(device_id)
+        assert path != lost and os.path.exists(path)
+        artifact = registry.compiled(device_id)
+        challenges = tiny_ppuf.challenge_space().random_batch(8, rng)
+        assert np.array_equal(
+            artifact.response_bits(challenges), tiny_ppuf.response_bits(challenges)
+        )
+        registry.close()
+
+    def test_artifact_payload_prefers_the_fleet_pack(self, tiny_ppuf, tmp_path):
+        from repro.ppuf.pack import build_pack
+
+        pack_path = str(tmp_path / "fleet.pack")
+        build_pack(pack_path, [tiny_ppuf.compile(include_circuit=False)])
+        registry = DeviceRegistry(pack=pack_path)
+        device_id = registry.enroll_ppuf(tiny_ppuf)
+        assert registry.artifact_payload(device_id) == ("pack", pack_path)
+        assert registry._enrollment is None  # nothing compiled, nothing written
+
+    def test_unknown_device_payload_raises(self):
+        with pytest.raises(ServiceError):
+            DeviceRegistry().artifact_payload("deadbeef")
+
+    def test_concurrent_first_claims_append_whole_records(self):
+        # compiled() runs on executor threads; interleaved appends would
+        # corrupt the enrollment pack that workers scan.
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        from repro.ppuf.pack import ArtifactPack
+
+        rng = np.random.default_rng(35)
+        devices = [Ppuf.create(6, 2, rng) for _ in range(6)]
+        registry = DeviceRegistry(compiled_cache_size=2)
+        ids = [registry.enroll_ppuf(device) for device in devices]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [
+                    pool.submit(registry.artifact_payload, device_id)
+                    for device_id in ids * 8
+                ]
+                payloads = {future.result(timeout=60) for future in futures}
+        finally:
+            sys.setswitchinterval(previous)
+        try:
+            (_, path), = payloads
+            pack = ArtifactPack(path)
+            assert pack.ids() == sorted(ids)
+            assert os.path.getsize(path) == pack.stats()["data_end"]
+            probe = devices[0].challenge_space().random_batch(4, rng)
+            for device, device_id in zip(devices, ids):
+                assert np.array_equal(
+                    pack.device(device_id).response_bits(probe),
+                    device.response_bits(probe),
+                )
+        finally:
+            registry.close()
 
 
 class TestReload:
@@ -134,7 +217,6 @@ class TestReload:
         device_id = registry.enroll_ppuf(tiny_ppuf)
         registry.compiled(device_id)
         os.unlink(tmp_path / f"{device_id}.json")
-        os.unlink(tmp_path / f"{device_id}.npz")
         registry.load_directory()
         # The warm artifact must not survive the fleet it belonged to: a
         # deleted-then-unknown id serves nothing, stale or otherwise.
@@ -215,8 +297,8 @@ class TestPackBackedRegistry:
             registry.public(device_id)  # no public JSON was ever enrolled
 
     def test_directory_fallback_still_compiles(self, pack_path, tiny_ppuf, tmp_path, rng):
-        # A device enrolled via JSON but absent from the pack takes the
-        # legacy npz/compile path transparently.
+        # A device enrolled via JSON but absent from the pack is compiled
+        # into the enrollment pack transparently.
         registry = DeviceRegistry(str(tmp_path / "reg"), pack=pack_path)
         device_id = registry.enroll_ppuf(tiny_ppuf)
         artifact = registry.compiled(device_id)

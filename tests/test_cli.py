@@ -161,7 +161,7 @@ class TestCommands:
         assert main(["solvers"]) == 0
         out = capsys.readouterr().out
         for name in (
-            "approx", "batched", "capacity_scaling", "dinic",
+            "approx", "batched_dinic", "capacity_scaling", "dinic",
             "edmonds_karp", "highest_label", "push_relabel",
         ):
             assert name in out
@@ -172,5 +172,7 @@ class TestCommands:
         payload = json.loads(capsys.readouterr().out)
         assert len(payload) >= 6
         by_name = {entry["name"]: entry for entry in payload}
-        assert by_name["batched"]["supports_batch"] is True
+        assert by_name["batched_dinic"]["supports_batch"] is True
+        assert by_name["batched_dinic"]["tensor"] == "edge"
+        assert "batched" not in by_name
         assert by_name["approx"]["kind"] == "approx"

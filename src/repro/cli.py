@@ -890,7 +890,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=16,
         help="micro-batching bound: coalesce up to this many concurrent "
-        "claims into one lockstep verification (1 disables)",
+        "claims into one lockstep verification (1 dispatches every claim alone)",
     )
     serve.add_argument(
         "--claim-linger",

@@ -141,8 +141,8 @@ class BatchEvaluator:
     ----------
     ppuf:
         The device to evaluate: a :class:`~repro.ppuf.device.Ppuf` or a
-        :class:`~repro.ppuf.compiled.CompiledDevice` (both expose the same
-        evaluation surface).
+        :class:`~repro.ppuf.compiled.CompiledDevice` (both inherit the
+        :class:`~repro.ppuf.compiled.DeviceModel` evaluation spine).
     engine:
         ``"maxflow"`` (default) or ``"circuit"``.
     algorithm:
@@ -183,9 +183,7 @@ class BatchEvaluator:
         self._spec = spec
         self.workers = int(workers)
         self.chunk_size = int(chunk_size)
-        self._compiled: Optional[CompiledDevice] = (
-            ppuf if isinstance(ppuf, CompiledDevice) else None
-        )
+        self._compiled: Optional[CompiledDevice] = None
         crossbar = ppuf.crossbar
         self._cells = crossbar.edge_cells()
         # Shared CSR view of the crossbar's complete-graph edge set (same
@@ -283,18 +281,11 @@ class BatchEvaluator:
         """The compiled artifact shipped to workers (compiled once, cached).
 
         The circuit engine needs the I–V tables; the max-flow engine ships
-        capacities only.
+        capacities only.  An artifact compiles to itself.
         """
-        need_circuit = self.engine == "circuit"
-        cached = self._compiled
-        if cached is None or (need_circuit and not cached.has_circuit_tables):
-            if isinstance(self.ppuf, CompiledDevice):
-                # A capacity-only artifact cannot grow circuit tables; ship
-                # it as-is and let the circuit path raise its clear error.
-                return self.ppuf
-            cached = self.ppuf.compile(include_circuit=need_circuit)
-            self._compiled = cached
-        return cached
+        if self._compiled is None:
+            self._compiled = self.ppuf.compile(include_circuit=self.engine == "circuit")
+        return self._compiled
 
     # ------------------------------------------------------------------
     # chunk evaluation (also runs inside pool workers)
@@ -339,7 +330,7 @@ class BatchEvaluator:
                 dtype=np.int64, count=count,
             )
             # Same selection arithmetic as Crossbar.bits_for_edges +
-            # PpufNetwork.capacities, lifted to the whole chunk: stack the
+            # NetworkModel.capacities, lifted to the whole chunk: stack the
             # challenge bit vectors, gather per-edge control bits, and let
             # one np.where per network broadcast the per-bit capacity rows.
             bits = np.stack([challenge.bits for challenge in challenges])

@@ -16,15 +16,19 @@ networks —
 * optional edge I–V tables (``v_grid``, ``currents0/1``,
   ``cocontent0/1``) for the circuit engine, shape ``(2, E, G)``.
 
-Evaluation against the artifact is pure row selection plus a solve:
-:meth:`CompiledNetwork.flow_network` feeds the flat arrays straight into
-:meth:`repro.flow.graph.FlowNetwork.from_arrays` with no per-edge Python
-loop and no lazy derivation.  :class:`CompiledNetwork` is call-compatible
-with :class:`~repro.ppuf.device.PpufNetwork` for every consumer of the
-evaluation spine (:mod:`repro.ppuf.engines`,
+One evaluation spine serves both the live device and the artifact.
+:class:`NetworkModel` and :class:`DeviceModel` below hold the only
+evaluation code — capacities → flow network → solve, I–V table → DC
+solve, currents → comparator — and both
+:class:`~repro.ppuf.device.Ppuf` and :class:`CompiledDevice` inherit it.
+They differ only in where the per-bit rows come from: a ``Ppuf`` derives
+them lazily from its variation sample, an artifact selects them from its
+flat arrays, so evaluating an artifact is pure row selection plus a solve
+(no lazy derivation, no per-edge Python loop).  Every consumer of the
+spine — :mod:`repro.ppuf.engines`,
 :class:`~repro.ppuf.verification.PpufProver` /
 :class:`~repro.ppuf.verification.PpufVerifier`, the batch pipeline and the
-service verification workers).
+service verification workers — takes either.
 
 On disk and across processes the artifact travels in one container, the
 mmap'd :class:`~repro.ppuf.pack.ArtifactPack`: a fleet pack, a server's
@@ -40,7 +44,6 @@ challenge is exactly the solve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -54,6 +57,7 @@ from repro.flow.registry import DEFAULT_ALGORITHM
 from repro.ppuf.challenge import Challenge, ChallengeSpace
 from repro.ppuf.comparator import CurrentComparator
 from repro.ppuf.crossbar import Crossbar
+from repro.ppuf.engines import network_current
 from repro.ppuf.formats import FORMAT_VERSION, check_format
 
 #: Network-name -> table-row mapping shared with the service wire format.
@@ -75,79 +79,61 @@ def _readonly(array, dtype, shape) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class NetworkTables:
-    """One network's compiled per-bit tables.
+def _require_circuit_tables(device: "CompiledDevice") -> None:
+    if not device.has_circuit_tables:
+        raise ReproError(
+            "compiled artifact carries no circuit I-V tables "
+            "(compiled with include_circuit=False)"
+        )
 
-    The exchange unit between :meth:`PpufNetwork.compile
-    <repro.ppuf.device.PpufNetwork.compile>` (which produces one) and
-    :meth:`PpufNetwork.adopt_compiled
-    <repro.ppuf.device.PpufNetwork.adopt_compiled>` (which seeds the lazy
-    caches from one, skipping re-derivation).
+
+class NetworkModel:
+    """The evaluation spine of one crossbar network, defined once.
+
+    Every network-level evaluation — per-challenge capacities, the public
+    max-flow instance and its solve (max-flow engine), the per-challenge
+    I–V table and its DC solve (circuit engine) — lives here and nowhere
+    else.  The two subclasses differ only in where their per-bit rows come
+    from:
+
+    * :class:`~repro.ppuf.device.PpufNetwork` derives them lazily from its
+      variation sample (capacity bisection, I–V tabulation), per bit value
+      and per engine, so a max-flow user never pays the tabulation;
+    * :class:`CompiledNetwork` selects them from a :class:`CompiledDevice`'s
+      flat arrays.
+
+    Subclasses supply ``crossbar``, ``edge_src``/``edge_dst``,
+    ``v_supply``, ``tech``, ``conditions`` and the two row accessors
+    ``_capacities_for_bit(bit)`` (shape ``(E,)``) and
+    ``_table_for_bit(bit)`` (an :class:`~repro.circuit.table.EdgeTable`).
     """
 
-    cap0: np.ndarray
-    cap1: np.ndarray
-    table0: Optional[EdgeTable] = None
-    table1: Optional[EdgeTable] = None
-
-
-class CompiledNetwork:
-    """Evaluation view of one network of a :class:`CompiledDevice`.
-
-    Call-compatible with :class:`~repro.ppuf.device.PpufNetwork` for the
-    evaluation spine: ``crossbar``, ``capacities``/``capacity_matrix``/
-    ``flow_network``/``maxflow_current`` (max-flow engine),
-    ``edge_table``/``circuit_current``/``dc_solution`` (circuit engine) and
-    the internal ``_capacities_for_bit`` row accessor the batch pipeline
-    uses.  There is no lazy state: every call is row selection + solve.
-    """
-
-    def __init__(self, device: "CompiledDevice", index: int):
-        self.device = device
-        self.index = index
-
-    # -- shared geometry / metadata ------------------------------------
-    @property
-    def crossbar(self) -> Crossbar:
-        return self.device.crossbar
-
-    @property
-    def tech(self) -> Technology:
-        return self.device.tech
-
-    @property
-    def conditions(self) -> OperatingConditions:
-        return self.device.conditions
+    def _check_edge_bits(self, edge_bits: np.ndarray) -> np.ndarray:
+        edge_bits = np.asarray(edge_bits)
+        if edge_bits.shape != (self.crossbar.num_edges,):
+            raise ChallengeError(
+                f"expected {self.crossbar.num_edges} edge bits, got {edge_bits.shape}"
+            )
+        return edge_bits
 
     # -- max-flow engine -----------------------------------------------
-    def _capacities_for_bit(self, bit: int) -> np.ndarray:
-        table = self.device.cap1 if bit else self.device.cap0
-        return table[self.index]
-
     def capacities(self, edge_bits: np.ndarray) -> np.ndarray:
-        """Per-edge capacities under a bit vector (pure row selection)."""
-        edge_bits = np.asarray(edge_bits)
-        if edge_bits.shape != (self.device.num_edges,):
-            raise ChallengeError(
-                f"expected {self.device.num_edges} edge bits, got {edge_bits.shape}"
-            )
+        """Simulation-model edge capacities under a per-edge bit vector."""
+        edge_bits = self._check_edge_bits(edge_bits)
         return np.where(
             edge_bits == 1, self._capacities_for_bit(1), self._capacities_for_bit(0)
         )
 
     def capacity_matrix(self, edge_bits: np.ndarray) -> np.ndarray:
-        matrix = np.zeros((self.device.n, self.device.n))
-        matrix[self.device.edge_src, self.device.edge_dst] = self.capacities(edge_bits)
+        """Dense n×n capacity matrix of the simulation model."""
+        matrix = np.zeros((self.crossbar.n, self.crossbar.n))
+        matrix[self.edge_src, self.edge_dst] = self.capacities(edge_bits)
         return matrix
 
     def flow_network(self, edge_bits: np.ndarray) -> FlowNetwork:
         """The public max-flow instance, built through the array fast path."""
         return FlowNetwork.from_arrays(
-            self.device.n,
-            self.device.edge_src,
-            self.device.edge_dst,
-            self.capacities(edge_bits),
+            self.crossbar.n, self.edge_src, self.edge_dst, self.capacities(edge_bits)
         )
 
     def maxflow_current(
@@ -159,35 +145,19 @@ class CompiledNetwork:
         algorithm: str = DEFAULT_ALGORITHM,
         stats=None,
     ) -> float:
+        """Simulated source current: the max-flow value.
+
+        ``algorithm`` may be any registered exact solver; ``stats`` is an
+        optional :class:`~repro.flow.registry.SolveStats` to fill.
+        """
         network = self.flow_network(edge_bits)
         result = solve_max_flow(network, source, sink, algorithm=algorithm, stats=stats)
         return result.value
 
     # -- circuit engine ------------------------------------------------
-    def _table_for_bit(self, bit: int) -> EdgeTable:
-        if not self.device.has_circuit_tables:
-            raise ReproError(
-                "compiled artifact carries no circuit I-V tables "
-                "(compiled with include_circuit=False)"
-            )
-        which = 1 if bit else 0
-        return EdgeTable(
-            v_grid=self.device.v_grid,
-            currents=(self.device.currents1 if which else self.device.currents0)[
-                self.index
-            ],
-            cocontent=(self.device.cocontent1 if which else self.device.cocontent0)[
-                self.index
-            ],
-        )
-
     def edge_table(self, edge_bits: np.ndarray) -> EdgeTable:
         """Per-challenge I–V table assembled by row selection."""
-        edge_bits = np.asarray(edge_bits)
-        if edge_bits.shape != (self.device.num_edges,):
-            raise ChallengeError(
-                f"expected {self.device.num_edges} edge bits, got {edge_bits.shape}"
-            )
+        edge_bits = self._check_edge_bits(edge_bits)
         table0 = self._table_for_bit(0)
         table1 = self._table_for_bit(1)
         select = (edge_bits == 1)[:, None]
@@ -198,42 +168,199 @@ class CompiledNetwork:
         )
 
     def circuit_current(self, edge_bits: np.ndarray, source: int, sink: int) -> float:
-        solution = self.dc_solution(edge_bits, source, sink)
-        return solution.source_current
+        """Executed source current: nonlinear DC solve of the crossbar."""
+        return self.dc_solution(edge_bits, source, sink).source_current
 
     def dc_solution(self, edge_bits: np.ndarray, source: int, sink: int):
-        table = self.edge_table(edge_bits)
+        """Full DC operating point (for delay/power analysis)."""
         return solve_dc(
-            self.device.n,
-            self.device.edge_src,
-            self.device.edge_dst,
-            table,
+            self.crossbar.n,
+            self.edge_src,
+            self.edge_dst,
+            self.edge_table(edge_bits),
             source=source,
             sink=sink,
-            v_supply=self.device.v_supply,
-        )
-
-    # -- interop with PpufNetwork.adopt_compiled ------------------------
-    def tables(self) -> NetworkTables:
-        """This network's tables in the :class:`NetworkTables` exchange form."""
-        circuit = self.device.has_circuit_tables
-        return NetworkTables(
-            cap0=self._capacities_for_bit(0),
-            cap1=self._capacities_for_bit(1),
-            table0=self._table_for_bit(0) if circuit else None,
-            table1=self._table_for_bit(1) if circuit else None,
+            v_supply=self.v_supply,
         )
 
 
-class CompiledDevice:
+class DeviceModel:
+    """The evaluation spine of a two-network device, defined once.
+
+    Challenge validation, the two source currents, the comparator decision
+    and the batched pipeline entry point live here;
+    :class:`~repro.ppuf.device.Ppuf` and :class:`CompiledDevice` inherit
+    them unchanged.  Subclasses supply ``crossbar``, ``network_a``/
+    ``network_b`` (:class:`NetworkModel` instances) and ``comparator``.
+    """
+
+    @property
+    def n(self) -> int:
+        return self.crossbar.n
+
+    @property
+    def l(self) -> int:
+        return self.crossbar.l
+
+    def network(self, which) -> NetworkModel:
+        """The network ``"a"``/``"b"`` (or index 0/1)."""
+        if isinstance(which, str):
+            if which not in NETWORK_INDEX:
+                raise ReproError(f"unknown network {which!r}; expected 'a' or 'b'")
+            which = NETWORK_INDEX[which]
+        return (self.network_a, self.network_b)[which]
+
+    def challenge_space(self) -> ChallengeSpace:
+        return ChallengeSpace(self.crossbar)
+
+    def currents(
+        self,
+        challenge: Challenge,
+        *,
+        engine: str = "maxflow",
+        algorithm: str = DEFAULT_ALGORITHM,
+        stats=None,
+    ) -> Tuple[float, float]:
+        """Source currents of the two networks for a challenge.
+
+        ``algorithm`` names any registered exact solver (maxflow engine);
+        ``stats`` is an optional :class:`~repro.flow.registry.SolveStats`
+        accumulating telemetry across both network solves.
+        """
+        self._check_challenge(challenge)
+        return (
+            network_current(self.network_a, challenge, engine, algorithm=algorithm, stats=stats),
+            network_current(self.network_b, challenge, engine, algorithm=algorithm, stats=stats),
+        )
+
+    def response(
+        self,
+        challenge: Challenge,
+        *,
+        engine: str = "maxflow",
+        algorithm: str = DEFAULT_ALGORITHM,
+        stats=None,
+    ) -> int:
+        """The response bit: comparator decision on the two currents."""
+        current_a, current_b = self.currents(
+            challenge, engine=engine, algorithm=algorithm, stats=stats
+        )
+        return self.comparator.compare(current_a, current_b)
+
+    def response_bits(
+        self,
+        challenges,
+        *,
+        engine: str = "maxflow",
+        algorithm: str = DEFAULT_ALGORITHM,
+        stats=None,
+    ) -> np.ndarray:
+        """Vector of response bits for a challenge list."""
+        return np.array(
+            [
+                self.response(c, engine=engine, algorithm=algorithm, stats=stats)
+                for c in challenges
+            ],
+            dtype=np.uint8,
+        )
+
+    def responses(
+        self,
+        challenges,
+        *,
+        engine: str = "maxflow",
+        algorithm: str = "batched_dinic",
+        workers: int = 1,
+        chunk_size: Optional[int] = None,
+    ) -> np.ndarray:
+        """Batched response bits: challenge matrix in, response vector out.
+
+        The throughput path: capacities for all challenges are assembled
+        into one edge table over the shared CSR and solved in lockstep for
+        ``algorithm="batched_dinic"`` (default), or row by row with any
+        other exact named solver.  See
+        :class:`repro.ppuf.batch.BatchEvaluator` for the pipeline and
+        :class:`repro.ppuf.batch.BatchReport` for per-stage accounting.
+        """
+        from repro.ppuf.batch import BatchEvaluator
+
+        evaluator = BatchEvaluator(
+            self,
+            engine=engine,
+            algorithm=algorithm,
+            workers=workers,
+            chunk_size=chunk_size,
+        )
+        bits, _ = evaluator.evaluate(challenges)
+        return bits
+
+    def _check_challenge(self, challenge: Challenge) -> None:
+        if challenge.num_bits != self.crossbar.num_control_bits:
+            raise ChallengeError(
+                f"challenge carries {challenge.num_bits} control bits; this "
+                f"PPUF expects {self.crossbar.num_control_bits}"
+            )
+        if not (0 <= challenge.source < self.n and 0 <= challenge.sink < self.n):
+            raise ChallengeError("challenge terminals out of node range")
+
+
+class CompiledNetwork(NetworkModel):
+    """One network of a :class:`CompiledDevice`: rows selected from its
+    ``(2, E)`` / ``(2, E, G)`` tables, no lazy state."""
+
+    def __init__(self, device: "CompiledDevice", index: int):
+        self.device = device
+        self.index = index
+
+    @property
+    def crossbar(self) -> Crossbar:
+        return self.device.crossbar
+
+    @property
+    def edge_src(self) -> np.ndarray:
+        return self.device.edge_src
+
+    @property
+    def edge_dst(self) -> np.ndarray:
+        return self.device.edge_dst
+
+    @property
+    def v_supply(self) -> float:
+        return self.device.v_supply
+
+    @property
+    def tech(self) -> Technology:
+        return self.device.tech
+
+    @property
+    def conditions(self) -> OperatingConditions:
+        return self.device.conditions
+
+    def _capacities_for_bit(self, bit: int) -> np.ndarray:
+        table = self.device.cap1 if bit else self.device.cap0
+        return table[self.index]
+
+    def _table_for_bit(self, bit: int) -> EdgeTable:
+        device = self.device
+        _require_circuit_tables(device)
+        return EdgeTable(
+            v_grid=device.v_grid,
+            currents=(device.currents1 if bit else device.currents0)[self.index],
+            cocontent=(device.cocontent1 if bit else device.cocontent0)[self.index],
+        )
+
+
+class CompiledDevice(DeviceModel):
     """An immutable, versioned, serialisable PPUF evaluation artifact.
 
     Build one with :meth:`repro.ppuf.device.Ppuf.compile` (or
     :func:`compile_ppuf`), persist it in an artifact pack
     (:class:`~repro.ppuf.pack.PackWriter` /
-    :class:`~repro.ppuf.pack.ArtifactPack`), evaluate through
-    :meth:`response` / :meth:`responses` or hand it to
-    :class:`~repro.ppuf.batch.BatchEvaluator` and the service layer.
+    :class:`~repro.ppuf.pack.ArtifactPack`), evaluate through the
+    :class:`DeviceModel` methods it shares with
+    :class:`~repro.ppuf.device.Ppuf` (:meth:`response` / :meth:`responses`)
+    or hand it to :class:`~repro.ppuf.batch.BatchEvaluator` and the service
+    layer.
 
     All arrays are read-only; the artifact never mutates after
     construction.  Pickling drops the three index arrays (they are
@@ -298,14 +425,6 @@ class CompiledDevice:
     # geometry / metadata
     # ------------------------------------------------------------------
     @property
-    def n(self) -> int:
-        return self.crossbar.n
-
-    @property
-    def l(self) -> int:
-        return self.crossbar.l
-
-    @property
     def num_edges(self) -> int:
         return self.crossbar.num_edges
 
@@ -341,14 +460,6 @@ class CompiledDevice:
 
         return complete_topology(self.n)
 
-    def network(self, which) -> CompiledNetwork:
-        """The evaluation view for network ``"a"``/``"b"`` (or index 0/1)."""
-        if isinstance(which, str):
-            if which not in NETWORK_INDEX:
-                raise ReproError(f"unknown network {which!r}; expected 'a' or 'b'")
-            which = NETWORK_INDEX[which]
-        return self._networks[which]
-
     @property
     def network_a(self) -> CompiledNetwork:
         return self._networks[0]
@@ -357,92 +468,16 @@ class CompiledDevice:
     def network_b(self) -> CompiledNetwork:
         return self._networks[1]
 
-    def challenge_space(self) -> ChallengeSpace:
-        return ChallengeSpace(self.crossbar)
+    def compile(self, *, include_circuit: bool = True) -> "CompiledDevice":
+        """This artifact itself: it is already compiled.
 
-    # ------------------------------------------------------------------
-    # evaluation (mirrors Ppuf)
-    # ------------------------------------------------------------------
-    def currents(
-        self,
-        challenge: Challenge,
-        *,
-        engine: str = "maxflow",
-        algorithm: str = DEFAULT_ALGORITHM,
-        stats=None,
-    ) -> Tuple[float, float]:
-        """Source currents of the two networks (same contract as ``Ppuf``)."""
-        from repro.ppuf.engines import network_current
-
-        self._check_challenge(challenge)
-        return (
-            network_current(
-                self._networks[0], challenge, engine, algorithm=algorithm, stats=stats
-            ),
-            network_current(
-                self._networks[1], challenge, engine, algorithm=algorithm, stats=stats
-            ),
-        )
-
-    def response(
-        self,
-        challenge: Challenge,
-        *,
-        engine: str = "maxflow",
-        algorithm: str = DEFAULT_ALGORITHM,
-        stats=None,
-    ) -> int:
-        current_a, current_b = self.currents(
-            challenge, engine=engine, algorithm=algorithm, stats=stats
-        )
-        return self.comparator.compare(current_a, current_b)
-
-    def response_bits(
-        self,
-        challenges,
-        *,
-        engine: str = "maxflow",
-        algorithm: str = DEFAULT_ALGORITHM,
-        stats=None,
-    ) -> np.ndarray:
-        return np.array(
-            [
-                self.response(c, engine=engine, algorithm=algorithm, stats=stats)
-                for c in challenges
-            ],
-            dtype=np.uint8,
-        )
-
-    def responses(
-        self,
-        challenges,
-        *,
-        engine: str = "maxflow",
-        algorithm: str = "batched_dinic",
-        workers: int = 1,
-        chunk_size: Optional[int] = None,
-    ) -> np.ndarray:
-        """Batched response bits through :class:`~repro.ppuf.batch.BatchEvaluator`."""
-        from repro.ppuf.batch import BatchEvaluator
-
-        evaluator = BatchEvaluator(
-            self,
-            engine=engine,
-            algorithm=algorithm,
-            workers=workers,
-            chunk_size=chunk_size,
-        )
-        bits, _ = evaluator.evaluate(challenges)
-        return bits
-
-    def _check_challenge(self, challenge: Challenge) -> None:
-        if challenge.num_bits != self.crossbar.num_control_bits:
-            raise ChallengeError(
-                f"challenge carries {challenge.num_bits} control bits; this "
-                f"PPUF expects {self.crossbar.num_control_bits}"
-            )
-        if not (0 <= challenge.source < self.n and 0 <= challenge.sink < self.n):
-            raise ChallengeError("challenge terminals out of node range")
+        Mirrors :meth:`repro.ppuf.device.Ppuf.compile` so either device
+        hands its artifact to the same consumers; a capacity-only artifact
+        cannot grow the circuit tables ``include_circuit=True`` asks for.
+        """
+        if include_circuit:
+            _require_circuit_tables(self)
+        return self
 
     # ------------------------------------------------------------------
     # serialisation
@@ -537,37 +572,31 @@ def compile_ppuf(
     """
     import dataclasses
 
-    from repro.ppuf.io import ppuf_to_dict
-    from repro.service.registry import device_id_for
-
     networks = (ppuf.network_a, ppuf.network_b)
-    tables = [net.compile(include_circuit=include_circuit) for net in networks]
     circuit: dict = {}
     if include_circuit:
-        grids = [t.table0.v_grid for t in tables] + [t.table1.v_grid for t in tables]
+        tables = [
+            [net._table_for_bit(bit) for net in networks] for bit in (0, 1)
+        ]
+        grids = [table.v_grid for per_bit in tables for table in per_bit]
         for grid in grids[1:]:
             if not np.array_equal(grid, grids[0]):
                 raise ReproError(
                     "networks tabulate on different voltage grids; cannot compile"
                 )
-        circuit = {
-            "v_grid": grids[0],
-            "currents0": np.stack([t.table0.currents for t in tables]),
-            "currents1": np.stack([t.table1.currents for t in tables]),
-            "cocontent0": np.stack([t.table0.cocontent for t in tables]),
-            "cocontent1": np.stack([t.table1.cocontent for t in tables]),
-        }
-    if device_id is None:
-        device_id = device_id_for(ppuf_to_dict(ppuf))
+        circuit = {"v_grid": grids[0]}
+        for bit, per_bit in enumerate(tables):
+            circuit[f"currents{bit}"] = np.stack([t.currents for t in per_bit])
+            circuit[f"cocontent{bit}"] = np.stack([t.cocontent for t in per_bit])
     reference = ppuf.network_a
     return CompiledDevice(
         n=ppuf.n,
         l=ppuf.l,
-        cap0=np.stack([t.cap0 for t in tables]),
-        cap1=np.stack([t.cap1 for t in tables]),
+        cap0=np.stack([net._capacities_for_bit(0) for net in networks]),
+        cap1=np.stack([net._capacities_for_bit(1) for net in networks]),
         comparator_offset=ppuf.comparator.offset,
         v_supply=reference.conditions.v_supply,
-        device_id=device_id,
+        device_id=ppuf.device_id if device_id is None else device_id,
         technology=dataclasses.asdict(reference.tech),
         conditions=dataclasses.asdict(reference.conditions),
         **circuit,
@@ -580,6 +609,7 @@ __all__ = [
     "NETWORK_INDEX",
     "CompiledDevice",
     "CompiledNetwork",
-    "NetworkTables",
+    "DeviceModel",
+    "NetworkModel",
     "compile_ppuf",
 ]

@@ -114,7 +114,7 @@ def transient_settling_time(
 
 
 def node_capacitances_for(network) -> np.ndarray:
-    """Diagonal node capacitances of a PpufNetwork's crossbar."""
+    """Diagonal node capacitances of a network's crossbar (any NetworkModel)."""
     return node_capacitances(
         network.crossbar.n,
         network.crossbar.incident_edge_counts(),
@@ -136,7 +136,7 @@ def measured_settling_time(
     Parameters
     ----------
     network:
-        A :class:`repro.ppuf.device.PpufNetwork`.
+        A :class:`repro.ppuf.compiled.NetworkModel` (live or compiled).
     edge_bits:
         Per-edge challenge bits.
     """

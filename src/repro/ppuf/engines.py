@@ -87,7 +87,8 @@ def network_current(
     Parameters
     ----------
     network:
-        A :class:`repro.ppuf.device.PpufNetwork`.
+        A :class:`repro.ppuf.compiled.NetworkModel` (a live
+        :class:`~repro.ppuf.device.PpufNetwork` or a compiled network).
     challenge:
         A :class:`repro.ppuf.challenge.Challenge`.
     engine:

@@ -4,12 +4,15 @@ A fabricated PPUF is fully described by its topology, technology card,
 operating point and the two variation samples — all *public* data (the
 PPUF premise).  The JSON form here is what a manufacturer would publish
 per device; :func:`load_ppuf` rebuilds a device that answers bit-for-bit
-identically across processes (asserted by the CLI tests).
+identically across processes (asserted by the CLI tests).  Its SHA-256
+digest (:func:`device_id_for`) is the device's id everywhere: in compiled
+artifacts, packs and the service registry.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import os
 import tempfile
@@ -43,6 +46,21 @@ def ppuf_to_dict(ppuf: Ppuf) -> dict:
         "sample_a": sample_dict(ppuf.network_a.sample),
         "sample_b": sample_dict(ppuf.network_b.sample),
     }
+
+
+def canonical_json(public: dict) -> str:
+    """Canonical serialisation: sorted keys, no whitespace.
+
+    JSON round-trips Python floats exactly (shortest-repr), so the client
+    and the server compute identical digests from equal descriptions even
+    after the dict has crossed the wire.
+    """
+    return json.dumps(public, sort_keys=True, separators=(",", ":"))
+
+
+def device_id_for(public: dict) -> str:
+    """Stable device id: SHA-256 of the canonical public description."""
+    return hashlib.sha256(canonical_json(public).encode("utf-8")).hexdigest()
 
 
 def ppuf_from_dict(data: dict) -> Ppuf:

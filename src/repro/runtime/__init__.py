@@ -12,13 +12,14 @@ on this layer instead of hand-rolling executors:
 * :mod:`repro.runtime.provision` — worker-side artifact provisioning:
   every device reaches a worker as a slice of an mmap'd artifact pack.
 * :mod:`repro.runtime.microbatch` — :class:`MicroBatcher`: generic
-  request coalescing (claims, CRPs) with typed failure pass-through.
+  request coalescing (the service's claims) with typed failure
+  pass-through.
 * :mod:`repro.runtime.stats` — :class:`RuntimeStats`: exact, mergeable
   pool telemetry folded into ``SolveStats`` counters and ``STATS`` wire
   snapshots.
 """
 
-from repro.runtime.microbatch import CrpMicroBatcher, MicroBatcher
+from repro.runtime.microbatch import MicroBatcher
 from repro.runtime.pool import WorkerPool
 from repro.runtime.provision import (
     ShippedArtifact,
@@ -28,7 +29,6 @@ from repro.runtime.provision import (
 from repro.runtime.stats import RuntimeStats, merge_runtime_snapshots
 
 __all__ = [
-    "CrpMicroBatcher",
     "MicroBatcher",
     "RuntimeStats",
     "ShippedArtifact",

@@ -11,9 +11,7 @@ fleet win: B requests per dispatch instead of one.
 :class:`MicroBatcher` is payload-agnostic — the dispatch callable decides
 what a batch *means*.  The service's
 :class:`~repro.service.server.ClaimMicroBatcher` dispatches claim batches
-to the verification pool; :class:`CrpMicroBatcher` here dispatches
-challenge batches to a :class:`~repro.ppuf.batch.BatchEvaluator`, so CRP
-evaluation gets the same coalescing for free.
+to the verification pool.
 
 Failure semantics: a dispatch that raises fails every request in its
 batch — :class:`~repro.errors.ServiceTimeout` and
@@ -146,47 +144,3 @@ class MicroBatcher:
         for _, future in batch:
             if not future.done():
                 future.set_exception(make_error())
-
-
-class CrpMicroBatcher(MicroBatcher):
-    """Micro-batched CRP evaluation: single challenges in, bits out.
-
-    Concurrent :meth:`response` calls coalesce into one
-    :meth:`~repro.ppuf.batch.BatchEvaluator.evaluate` pass — the solver
-    sees a ``(B, E)`` capacity table instead of B single-row solves, and
-    because no arithmetic couples challenges the bit each caller gets is
-    identical to evaluating its challenge alone.  The evaluation itself
-    runs off-loop (it is CPU-bound numpy, not awaitable work).
-    """
-
-    def __init__(
-        self,
-        evaluator,
-        *,
-        batch_size: int = 64,
-        linger_seconds: float = 0.002,
-        on_dispatch: Optional[Callable[[int], None]] = None,
-    ):
-        super().__init__(
-            self._evaluate,
-            batch_size=batch_size,
-            linger_seconds=linger_seconds,
-            on_dispatch=on_dispatch,
-        )
-        self.evaluator = evaluator
-        # An evaluator reuses its capacity/residual buffers across calls,
-        # so two batches must never evaluate concurrently: batches queue
-        # behind this lock (back-to-back, no coalescing lost).
-        self._evaluate_lock = asyncio.Lock()
-
-    async def _evaluate(self, challenges: list) -> list:
-        loop = asyncio.get_running_loop()
-        async with self._evaluate_lock:
-            bits, _ = await loop.run_in_executor(
-                None, self.evaluator.evaluate, list(challenges)
-            )
-        return [int(bit) for bit in bits]
-
-    async def response(self, challenge) -> int:
-        """One challenge's response bit, via the coalesced batch."""
-        return await self.submit(challenge)

@@ -33,12 +33,10 @@ from typing import Callable, List, Optional
 
 from repro.errors import ConnectionLost, ServiceError
 from repro.flow.registry import DEFAULT_ALGORITHM
-from repro.ppuf.compiled import CompiledDevice
 from repro.ppuf.device import Ppuf
 from repro.ppuf.io import ppuf_to_dict
 from repro.ppuf.verification import PpufProver
 from repro.service import wire
-from repro.service.registry import device_id_for
 from repro.service.resilience import (
     DEFAULT_TIMEOUT,
     IDEMPOTENT_TYPES,
@@ -232,7 +230,8 @@ class ServiceClient:
     ) -> AuthOutcome:
         """Run one full authentication session as the device holder.
 
-        ``ppuf`` may be a live :class:`~repro.ppuf.device.Ppuf` or a
+        ``ppuf`` may be a live :class:`~repro.ppuf.device.Ppuf` (identified
+        by its content digest) or a
         :class:`~repro.ppuf.compiled.CompiledDevice` (whose stamped
         ``device_id`` identifies the enrolled silicon — ``repro pack
         build`` produces these and ``repro auth --pack`` loads them).
@@ -246,13 +245,8 @@ class ServiceClient:
         outstanding, CLAIM goes out exactly once — a transport failure
         there raises and the whole authentication must be restarted.
         """
-        if isinstance(ppuf, CompiledDevice):
-            device_id = ppuf.device_id
-        else:
-            device_id = device_id_for(ppuf_to_dict(ppuf))
-        net = ppuf.network_a if network == "a" else ppuf.network_b
-        prover = PpufProver(net)
-        message = {"type": wire.HELLO, "device_id": device_id, "network": network}
+        prover = PpufProver(ppuf.network(network))
+        message = {"type": wire.HELLO, "device_id": ppuf.device_id, "network": network}
         if rounds is not None:
             message["rounds"] = int(rounds)
         reply = await self.request_ok(message, retry=True)

@@ -2,24 +2,25 @@
 
 PPUFs are *public* PUFs — enrollment stores no secrets, only the public
 device description (:func:`repro.ppuf.io.ppuf_to_dict`).  The registry key
-is content-derived: the SHA-256 digest of the canonical JSON form, so the
-same silicon always enrolls under the same id and a tampered description
-changes the id (a self-authenticating directory, like the paper's public
-model registry).
+is content-derived: the SHA-256 digest of the canonical JSON form
+(:func:`repro.ppuf.io.device_id_for`), so the same silicon always enrolls
+under the same id and a tampered description changes the id (a
+self-authenticating directory, like the paper's public model registry).
 
 With a ``directory``, every enrollment is persisted as
 ``<device_id>.json`` via the atomic writer in :mod:`repro.ppuf.io`, and a
 restarted server reloads its fleet from disk.  :meth:`DeviceRegistry.load_directory`
 is a *rebuild*: it replaces the resident fleet with what the directory
-holds right now (deleted files drop out, cached compiled artifacts are
-invalidated) and skips — with a logged warning — any ``<id>.json`` whose
-filename does not match its content-derived digest, so a renamed or
-tampered file can never enroll under an id other than the one written on
-its name.
+holds right now (deleted files drop out) and skips — with a logged
+warning — any ``<id>.json`` whose filename does not match its
+content-derived digest, so a renamed or tampered file can never enroll
+under an id other than the one written on its name.
 
-The registry also serves *compiled* evaluation artifacts
-(:class:`~repro.ppuf.compiled.CompiledDevice`) through a bounded LRU of
-warm per-device handles.  Cold misses fill from one of two artifact packs:
+The registry keeps no device objects.  A session opens from the device
+*header* (:meth:`DeviceRegistry.header`: ``n``, ``l``, technology card and
+operating point), and claims verify against a compiled artifact
+(:class:`~repro.ppuf.compiled.CompiledDevice`) read from one of two
+artifact packs:
 
 1. the packed fleet file (:class:`~repro.ppuf.pack.ArtifactPack`, one mmap
    shared by every device).  It is also how compiled artifacts persist
@@ -34,42 +35,26 @@ warm per-device handles.  Cold misses fill from one of two artifact packs:
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 import os
 import threading
 import weakref
-from collections import OrderedDict
 from typing import Dict, List, Optional, Union
 
 from repro.errors import ReproError, ServiceError
 from repro.ppuf.compiled import CompiledDevice
 from repro.ppuf.device import Ppuf
-from repro.ppuf.io import atomic_write_text, ppuf_from_dict, ppuf_to_dict
+from repro.ppuf.io import (
+    atomic_write_text,
+    canonical_json,
+    device_id_for,
+    ppuf_from_dict,
+    ppuf_to_dict,
+)
 from repro.ppuf.pack import ArtifactPack, PackWriter, scratch_pack_path
 
 logger = logging.getLogger(__name__)
-
-#: Default bound on the warm compiled-artifact LRU.  Pack-backed artifacts
-#: are cheap mmap views, but each still pins Python-side index objects —
-#: a million-device fleet must not mirror itself into the warm tier.
-DEFAULT_COMPILED_CACHE_SIZE = 256
-
-
-def canonical_json(public: dict) -> str:
-    """Canonical serialisation: sorted keys, no whitespace.
-
-    JSON round-trips Python floats exactly (shortest-repr), so the client
-    and the server compute identical digests from equal descriptions even
-    after the dict has crossed the wire.
-    """
-    return json.dumps(public, sort_keys=True, separators=(",", ":"))
-
-
-def device_id_for(public: dict) -> str:
-    """Stable device id: SHA-256 of the canonical public description."""
-    return hashlib.sha256(canonical_json(public).encode("utf-8")).hexdigest()
 
 
 def _discard_pack(writer: PackWriter, path: str) -> None:
@@ -111,7 +96,7 @@ class _EnrollmentPack:
 
 
 class DeviceRegistry:
-    """Enrolled devices, keyed by :func:`device_id_for`.
+    """Enrolled devices, keyed by :func:`~repro.ppuf.io.device_id_for`.
 
     Parameters
     ----------
@@ -124,33 +109,19 @@ class DeviceRegistry:
         are served as zero-copy mmap slices; ids in the pack count as
         enrolled for lookup/verification (the public JSON directory can
         stay empty for a pre-provisioned fleet).
-    compiled_cache_size:
-        Bound on the warm compiled-artifact LRU (see the module docstring
-        for the tiering).  ``None`` disables the bound.
     """
 
     def __init__(
         self,
         directory: Optional[str] = None,
         pack: Union[ArtifactPack, str, None] = None,
-        *,
-        compiled_cache_size: Optional[int] = DEFAULT_COMPILED_CACHE_SIZE,
     ):
-        if compiled_cache_size is not None and compiled_cache_size < 1:
-            raise ServiceError(
-                f"compiled_cache_size must be >= 1, got {compiled_cache_size}"
-            )
         self.directory = directory
         self.pack = ArtifactPack(pack) if isinstance(pack, (str, os.PathLike)) else pack
-        self.compiled_cache_size = compiled_cache_size
         self._public: Dict[str, dict] = {}
-        self._devices: Dict[str, Ppuf] = {}
-        self._compiled: "OrderedDict[str, CompiledDevice]" = OrderedDict()
         self._enrollment: Optional[_EnrollmentPack] = None
-        # compiled() runs on executor threads as well as the event loop:
-        # one lock keeps the LRU's check-then-move consistent, the other
-        # keeps enrollment-pack appends (held across a compile) whole.
-        self._compiled_lock = threading.Lock()
+        # artifact_payload() runs on executor threads: the lock keeps
+        # enrollment-pack appends (held across a compile) whole.
         self._enrollment_lock = threading.Lock()
         if directory is not None:
             os.makedirs(directory, exist_ok=True)
@@ -179,17 +150,17 @@ class DeviceRegistry:
         """Enroll a public description; returns the device id.
 
         The description is validated by rebuilding the device from it
-        (:class:`ReproError` propagates for a malformed dict).  Re-enrolling
-        an already-known device returns the same id — and restores the
-        on-disk JSON if it went missing (a lost file must not stay lost
-        just because the id is still resident).
+        (:class:`ReproError` propagates for a malformed dict); the rebuilt
+        device is not kept.  Re-enrolling an already-known device returns
+        the same id — and restores the on-disk JSON if it went missing (a
+        lost file must not stay lost just because the id is still
+        resident).
         """
-        device = ppuf_from_dict(public)
+        ppuf_from_dict(public)
         device_id = device_id_for(public)
         known = device_id in self._public
         if not known:
             self._public[device_id] = public
-            self._devices[device_id] = device
         if self.directory is not None:
             path = self._path(device_id)
             if not known or not os.path.exists(path):
@@ -208,100 +179,83 @@ class DeviceRegistry:
         except KeyError:
             raise ServiceError(f"unknown device id {device_id!r}") from None
 
-    def device(self, device_id: str):
-        """The rebuilt (cached) device for a device id.
+    def header(self, device_id: str) -> dict:
+        """What opening a session needs, without building the device.
 
-        For an id that lives only in the pack (no public JSON enrolled)
-        this returns the compiled artifact instead — call-compatible with
-        :class:`~repro.ppuf.device.Ppuf` for every evaluation and
-        challenge-issuing consumer.
+        The fleet-pack record header for a packed device, the enrolled
+        public description otherwise; both carry ``n``, ``l``,
+        ``technology`` and ``conditions``.
         """
-        if device_id in self._devices:
-            return self._devices[device_id]
-        if device_id not in self._public and self.pack is not None:
-            if device_id in self.pack:
-                return self.compiled(device_id)
-        self._devices[device_id] = ppuf_from_dict(self.public(device_id))
-        return self._devices[device_id]
+        if self.pack is not None and device_id in self.pack:
+            return self.pack.header(device_id)
+        return self.public(device_id)
 
     def compiled(self, device_id: str) -> CompiledDevice:
         """The compiled (capacity-only) evaluation artifact for a device id.
 
-        Warm hits come from a bounded LRU; cold misses fill from the fleet
-        pack (an mmap row slice), then the enrollment pack, and otherwise
-        compile the enrolled description and append it there.
-        Verification needs only the capacity tables, so circuit I–V tables
-        are not built here.
+        A fleet-pack device is served as an mmap row slice; any other
+        enrolled device is read back from the enrollment pack, compiled
+        into it on first use.  Verification needs only the capacity
+        tables, so circuit I–V tables are not built here.
         """
-        with self._compiled_lock:
-            artifact = self._compiled.get(device_id)
-            if artifact is not None:
-                self._compiled.move_to_end(device_id)
-                return artifact
         if self.pack is not None and device_id in self.pack:
-            return self._remember(device_id, self.pack.device(device_id))
-        self.public(device_id)  # ServiceError for an unknown id
+            return self.pack.device(device_id)
         with self._enrollment_lock:
-            if self._enrollment is None:
-                self._enrollment = _EnrollmentPack()
-            if device_id in self._enrollment.writer:
-                artifact = self._enrollment.device(device_id)
-            else:
-                artifact = self.device(device_id).compile(
-                    include_circuit=False, device_id=device_id
-                )
-                self._enrollment.add(artifact)
-        return self._remember(device_id, artifact)
+            return self._enrolled_record(device_id).device(device_id)
 
     def artifact_payload(self, device_id: str) -> tuple:
         """The ``("pack", path)`` reference a worker resolves ``device_id`` in.
 
         A fleet-pack device needs no work; any other enrolled device is
         compiled into the enrollment pack first (call this off the event
-        loop).  Every device in the warm LRU that is not in the fleet pack
-        is in the current enrollment pack — :meth:`close` clears the LRU
-        along with the pack to keep it so.
+        loop).
         """
         if self.pack is not None and device_id in self.pack:
             return ("pack", self.pack.path)
-        self.compiled(device_id)
-        return ("pack", self._enrollment.path)
+        with self._enrollment_lock:
+            return ("pack", self._enrolled_record(device_id).path)
+
+    def _enrolled_record(self, device_id: str) -> _EnrollmentPack:
+        """The enrollment pack, holding ``device_id`` (compiled on a miss).
+
+        Call with the enrollment lock held.  Raises :class:`ServiceError`
+        for an id that is not (or no longer) enrolled, even if an earlier
+        fleet left its record in the pack.
+        """
+        public = self.public(device_id)
+        if self._enrollment is None:
+            self._enrollment = _EnrollmentPack()
+        if device_id not in self._enrollment.writer:
+            self._enrollment.add(
+                ppuf_from_dict(public).compile(
+                    include_circuit=False, device_id=device_id
+                )
+            )
+        return self._enrollment
 
     def close(self) -> None:
         """Remove the enrollment pack; the next cold miss starts a new one."""
-        with self._enrollment_lock, self._compiled_lock:
+        with self._enrollment_lock:
             if self._enrollment is not None:
                 self._enrollment.close()
                 self._enrollment = None
-            self._compiled.clear()
-
-    def _remember(self, device_id: str, artifact: CompiledDevice) -> CompiledDevice:
-        with self._compiled_lock:
-            self._compiled[device_id] = artifact
-            self._compiled.move_to_end(device_id)
-            if self.compiled_cache_size is not None:
-                while len(self._compiled) > self.compiled_cache_size:
-                    self._compiled.popitem(last=False)
-        return artifact
 
     # ------------------------------------------------------------------
     def load_directory(self) -> int:
         """(Re)load every ``*.json`` under ``directory``; returns the count.
 
         This *rebuilds* the resident fleet: devices whose files were
-        deleted drop out, and the compiled-artifact cache is invalidated
-        wholesale so a re-enrolled id can never be served a stale
-        artifact.  Files that fail to parse are skipped (a server should
-        come up with the healthy part of its fleet, not crash on one bad
-        entry), as are files whose name does not match the content-derived
-        digest of what they hold — silently enrolling such a file would
-        register it under a different id than the one on its filename.
+        deleted drop out and are no longer served, even where the
+        enrollment pack still holds their record.  Files that fail to parse
+        are skipped (a server should come up with the healthy part of its
+        fleet, not crash on one bad entry), as are files whose name does
+        not match the content-derived digest of what they hold — silently
+        enrolling such a file would register it under a different id than
+        the one on its filename.
         """
         if self.directory is None:
             return 0
         self._public.clear()
-        self._devices.clear()
-        self._compiled.clear()
         loaded = 0
         for name in sorted(os.listdir(self.directory)):
             if not name.endswith(".json"):
@@ -310,7 +264,7 @@ class DeviceRegistry:
             try:
                 with open(path) as handle:
                     public = json.load(handle)
-                device = ppuf_from_dict(public)
+                ppuf_from_dict(public)
             except (OSError, json.JSONDecodeError, ReproError):
                 continue
             device_id = device_id_for(public)
@@ -321,7 +275,6 @@ class DeviceRegistry:
                 )
                 continue
             self._public[device_id] = public
-            self._devices[device_id] = device
             loaded += 1
         return loaded
 

@@ -5,7 +5,7 @@
 the :class:`~repro.service.sessions.SessionManager`, a bounded
 verification pool, and :class:`~repro.service.stats.ServerStats`.
 
-The verification pool matters because ``PpufVerifier.verify`` is the
+The verification pool matters because claim verification is the
 O(n²/p) residual-graph check — microseconds on toy devices but the real
 cost center at secure sizes.  Claims are therefore verified off-loop in
 a supervised :class:`~repro.runtime.pool.WorkerPool` (process workers
@@ -45,10 +45,13 @@ import logging
 from collections import OrderedDict
 from typing import Optional
 
+from repro.circuit.ptm32 import OperatingConditions, Technology
 from repro.errors import ServiceError, ServiceTimeout, VerificationError, WorkerCrash
 from repro.flow.graph import DEFAULT_RTOL
+from repro.ppuf.challenge import ChallengeSpace
+from repro.ppuf.crossbar import Crossbar
 from repro.ppuf.delay import lin_mead_delay_bound
-from repro.ppuf.verification import PpufVerifier, verify_compact_claims
+from repro.ppuf.verification import verify_compact_claims
 from repro.runtime.microbatch import MicroBatcher
 from repro.runtime.pool import WorkerPool
 from repro.runtime.provision import materialise_payload
@@ -64,41 +67,6 @@ logger = logging.getLogger(__name__)
 PAPER_DEADLINE_SLACK = 100.0
 
 
-def _verify_claim_task(
-    device_id: str, payload, network: str, claim_wire: dict, rtol: float
-) -> tuple:
-    """Verify one wire claim; runs inside a pool worker (or thread).
-
-    ``payload`` is the device transport, a ``("pack", path)`` reference
-    (see :func:`repro.runtime.provision.materialise_payload`).  Returns
-    ``(accepted, reason, verify_seconds, fault)`` with ``reason`` one of
-    ``"ok"``,
-    ``"incorrect"`` (feasible but wrong), ``"infeasible"``
-    (conservation/capacity violation or malformed paths).  ``fault`` is
-    ``None`` for expected outcomes; for any *unexpected* exception (e.g. an
-    ``IndexError`` from out-of-range path vertices) it carries the error
-    text and the claim is still rejected as ``"infeasible"`` — a worker
-    exception must never escape the pool and kill the connection.
-    """
-    import time
-
-    start = time.perf_counter()
-    try:
-        device = materialise_payload(payload, device_id)
-        net = device.network_a if network == "a" else device.network_b
-        verifier = PpufVerifier(net)
-        claim = wire.claim_from_wire(claim_wire)
-        accepted = verifier.verify_compact(claim, rtol=rtol)
-        reason = "ok" if accepted else "incorrect"
-        fault = None
-    except (VerificationError, ServiceError):
-        accepted, reason, fault = False, "infeasible", None
-    except Exception as error:  # noqa: BLE001 — containment is the point
-        accepted, reason = False, "infeasible"
-        fault = f"{type(error).__name__}: {error}"
-    return accepted, reason, time.perf_counter() - start, fault
-
-
 def _verify_claims_task(jobs, rtol: float) -> list:
     """Verify one coalesced claim batch; runs inside a pool worker.
 
@@ -111,8 +79,13 @@ def _verify_claims_task(jobs, rtol: float) -> list:
     form, bad paths, device trouble) is contained to its own row.
 
     Returns one ``(accepted, reason, verify_seconds, fault)`` tuple per
-    job, in order — the same shape as :func:`_verify_claim_task`, with
-    ``verify_seconds`` the batch wall clock amortised over its claims.
+    job, in order.  ``reason`` is ``"ok"``, ``"incorrect"`` (feasible but
+    wrong) or ``"infeasible"`` (conservation/capacity violation or
+    malformed paths); ``fault`` is ``None`` for expected outcomes and
+    carries the error text of any *unexpected* exception, which still
+    rejects only its own claims — a worker exception must never escape
+    the pool and kill the connection.  ``verify_seconds`` is the batch
+    wall clock amortised over its claims.
     """
     import time
 
@@ -123,8 +96,7 @@ def _verify_claims_task(jobs, rtol: float) -> list:
         groups.setdefault((device_id, network), []).append(index)
     for (device_id, network), indices in groups.items():
         try:
-            device = materialise_payload(jobs[indices[0]][1], device_id)
-            net = device.network_a if network == "a" else device.network_b
+            net = materialise_payload(jobs[indices[0]][1], device_id).network(network)
         except (VerificationError, ServiceError):
             for index in indices:
                 results[index] = (False, "infeasible", None)
@@ -165,7 +137,7 @@ def _verify_claims_task(jobs, rtol: float) -> list:
 
 class VerificationPool:
     """The service face of :class:`~repro.runtime.pool.WorkerPool` for
-    :func:`_verify_claim_task` / :func:`_verify_claims_task`.
+    :func:`_verify_claims_task`.
 
     ``timeout`` cuts off any single verification: a claim that wedges a
     worker raises :class:`ServiceTimeout` to the caller instead of holding
@@ -201,15 +173,6 @@ class VerificationPool:
     def active(self) -> int:
         return self.runtime.active
 
-    async def verify(
-        self, device_id: str, payload, network: str, claim_wire: dict, rtol: float
-    ) -> tuple:
-        # _verify_claim_task resolves as a module global at call time, so
-        # tests (and subclasses) can swap the task function.
-        return await self.runtime.run(
-            _verify_claim_task, device_id, payload, network, claim_wire, rtol
-        )
-
     async def verify_batch(self, jobs: list, rtol: float) -> list:
         """Run :func:`_verify_claims_task` off-loop for a coalesced batch.
 
@@ -217,6 +180,8 @@ class VerificationPool:
         batch — that is the micro-batching win: B claims pay one pool
         round trip.  ``timeout`` bounds the batch as a unit; a blown
         deadline raises :class:`ServiceTimeout` for every claim in it.
+        ``_verify_claims_task`` resolves as a module global at call time,
+        so tests can swap the task function.
         """
         return await self.runtime.run(_verify_claims_task, list(jobs), rtol)
 
@@ -300,7 +265,7 @@ class PpufAuthServer:
         Verification processes; ``0`` verifies in the default thread
         executor (cheap devices / tests).
     rtol:
-        Claim-value tolerance forwarded to ``PpufVerifier.verify``.
+        Claim-value tolerance forwarded to the batched claim verifier.
     allow_enroll:
         Accept ``enroll`` messages over the wire (disable for a
         pre-provisioned fleet).
@@ -308,8 +273,7 @@ class PpufAuthServer:
         Micro-batching bound: up to this many concurrent claims coalesce
         into one pool dispatch (verified in lockstep by
         :func:`~repro.ppuf.verification.verify_compact_claims`, verdicts
-        split back per claim).  ``1`` disables batching — every claim
-        takes the solo :func:`_verify_claim_task` path.
+        split back per claim).  ``1`` dispatches every claim alone.
     claim_batch_linger:
         How long [s] a forming batch waits for company before dispatching
         anyway.  Bounds the single-claim latency regression: a lone claim
@@ -360,7 +324,6 @@ class PpufAuthServer:
         self.registry = registry if registry is not None else DeviceRegistry()
         self.host = host
         self.port = port
-        self.rtol = rtol
         self.allow_enroll = allow_enroll
         self.connection_timeout = connection_timeout
         self.max_connections = max_connections
@@ -375,16 +338,12 @@ class PpufAuthServer:
         )
         self.pool = VerificationPool(workers, timeout=verify_timeout)
         self.stats = ServerStats()
-        self.batcher: Optional[ClaimMicroBatcher] = (
-            ClaimMicroBatcher(
-                self.pool,
-                self.stats,
-                rtol=rtol,
-                batch_size=claim_batch_size,
-                linger_seconds=claim_batch_linger,
-            )
-            if claim_batch_size > 1
-            else None
+        self.batcher = ClaimMicroBatcher(
+            self.pool,
+            self.stats,
+            rtol=rtol,
+            batch_size=claim_batch_size,
+            linger_seconds=claim_batch_linger,
         )
         self._connections = 0
         self._server: Optional[asyncio.base_events.Server] = None
@@ -422,15 +381,11 @@ class PpufAuthServer:
         self.registry.close()
 
     async def _drain_verifications(self) -> None:
-        if self.batcher is not None:
-            self.batcher.flush()
+        self.batcher.flush()
         deadline = asyncio.get_running_loop().time() + self.drain_seconds
 
         def _in_flight() -> bool:
-            return bool(
-                self.pool.active
-                or (self.batcher is not None and self.batcher.busy)
-            )
+            return bool(self.pool.active or self.batcher.busy)
 
         while _in_flight() and asyncio.get_running_loop().time() < deadline:
             await asyncio.sleep(0.01)
@@ -595,17 +550,26 @@ class PpufAuthServer:
         if device_id not in self.registry:
             self.stats.unknown_devices += 1
             raise ServiceError(f"unknown device id {device_id!r}")
-        device = self.registry.device(device_id)
-        session = self.sessions.open(device_id, device, network, message.get("rounds"))
+        # The header is all a session needs: no device is built or cached.
+        header = self.registry.header(device_id)
+        if not header.get("technology") or not header.get("conditions"):
+            raise ServiceError(
+                f"device {device_id!r} carries no technology card or operating point"
+            )
+        crossbar = Crossbar(n=int(header["n"]), l=int(header["l"]))
+        session = self.sessions.open(
+            device_id, ChallengeSpace(crossbar), network, message.get("rounds")
+        )
+        session.paper_deadline_seconds = PAPER_DEADLINE_SLACK * lin_mead_delay_bound(
+            crossbar.n,
+            Technology(**header["technology"]),
+            OperatingConditions(**header["conditions"]),
+        )
         self.stats.sessions_opened += 1
         self.stats.rounds_issued += 1
-        return self._challenge_message(session, device)
+        return self._challenge_message(session)
 
-    def _challenge_message(self, session: Session, device) -> dict:
-        net = device.network_a if session.network == "a" else device.network_b
-        paper_deadline = PAPER_DEADLINE_SLACK * lin_mead_delay_bound(
-            device.n, net.tech, net.conditions
-        )
+    def _challenge_message(self, session: Session) -> dict:
         return {
             "type": wire.CHALLENGE,
             "session": session.session_id,
@@ -614,7 +578,7 @@ class PpufAuthServer:
             "rounds": session.rounds_total,
             "challenge": wire.challenge_to_wire(session.challenge),
             "deadline_seconds": session.deadline_seconds,
-            "paper_deadline_seconds": paper_deadline,
+            "paper_deadline_seconds": session.paper_deadline_seconds,
         }
 
     async def _on_claim(self, message: dict) -> dict:
@@ -641,24 +605,11 @@ class PpufAuthServer:
         if claim_wire.get("challenge") != challenged:
             return self._verdict(session, False, "wrong_challenge", elapsed)
 
-        device = self.registry.device(session.device_id)
         payload = await self._device_payload(session.device_id)
         try:
-            if self.batcher is not None:
-                accepted, reason, verify_seconds, fault = await self.batcher.verify(
-                    session.device_id,
-                    payload,
-                    session.network,
-                    claim_wire,
-                )
-            else:
-                accepted, reason, verify_seconds, fault = await self.pool.verify(
-                    session.device_id,
-                    payload,
-                    session.network,
-                    claim_wire,
-                    self.rtol,
-                )
+            accepted, reason, verify_seconds, fault = await self.batcher.verify(
+                session.device_id, payload, session.network, claim_wire
+            )
         except ServiceTimeout:
             self.stats.verify_timeouts += 1
             logger.warning(
@@ -685,9 +636,9 @@ class PpufAuthServer:
         self.stats.observe_verify(claim_wire.get("algorithm"), verify_seconds)
         if not accepted:
             return self._verdict(session, False, reason, elapsed)
-        if self.sessions.advance(session, device):
+        if self.sessions.advance(session):
             self.stats.rounds_issued += 1
-            return self._challenge_message(session, device)
+            return self._challenge_message(session)
         self.stats.sessions_accepted += 1
         return {
             "type": wire.VERDICT,
@@ -737,9 +688,7 @@ class PpufAuthServer:
         # settled needs to see work that is queued but not yet a session
         # counter — claims in the pool plus claims lingering in the
         # micro-batcher.
-        snapshot["verifications_in_flight"] = self.pool.active + (
-            self.batcher.queued if self.batcher is not None else 0
-        )
+        snapshot["verifications_in_flight"] = self.pool.active + self.batcher.queued
         # The runtime substrate's own telemetry (task/crash/restart
         # counters) rides the same snapshot; the fleet router folds the
         # per-shard entries exactly (see ServerStats.merge_snapshot).

@@ -31,7 +31,6 @@ import numpy as np
 
 from repro.errors import ServiceError
 from repro.ppuf.challenge import Challenge, ChallengeSpace
-from repro.ppuf.device import Ppuf
 
 
 class UnknownSession(ServiceError):
@@ -56,13 +55,21 @@ CLOSED = "closed"
 
 @dataclass
 class Session:
-    """One in-flight authentication attempt."""
+    """One in-flight authentication attempt.
+
+    ``space`` is the device's challenge space, so issuing the next round
+    never looks the device up again; ``paper_deadline_seconds`` is the
+    modeled time bound relayed with every challenge, computed once per
+    session by the server.
+    """
 
     session_id: str
     device_id: str
     network: str  # "a" or "b"
     rounds_total: int
     deadline_seconds: float
+    space: ChallengeSpace
+    paper_deadline_seconds: float = 0.0
     round_index: int = 0
     state: str = AWAITING_CLAIM
     nonce: str = ""
@@ -131,13 +138,29 @@ class SessionManager:
         return session
 
     # ------------------------------------------------------------------
-    def open(self, device_id: str, device: Ppuf, network: str, rounds: Optional[int]) -> Session:
-        """Create a session and issue its first challenge."""
+    def open(
+        self,
+        device_id: str,
+        space: ChallengeSpace,
+        network: str,
+        rounds: Optional[int],
+    ) -> Session:
+        """Create a session over ``space`` and issue its first challenge.
+
+        ``network`` and ``rounds`` arrive from the wire: anything but
+        ``"a"``/``"b"`` and an ``int`` (not a ``bool``) in [1, 1024] is a
+        :class:`ServiceError`.  ``rounds=None`` takes the default.
+        """
         if network not in ("a", "b"):
             raise ServiceError(f"network must be 'a' or 'b', got {network!r}")
-        rounds = self.default_rounds if rounds is None else int(rounds)
-        if not 1 <= rounds <= 1024:
-            raise ServiceError(f"rounds must be in [1, 1024], got {rounds}")
+        if rounds is None:
+            rounds = self.default_rounds
+        if (
+            isinstance(rounds, bool)
+            or not isinstance(rounds, int)
+            or not 1 <= rounds <= 1024
+        ):
+            raise ServiceError(f"rounds must be an integer in [1, 1024], got {rounds!r}")
         if self.max_sessions is not None and len(self._sessions) >= self.max_sessions:
             # Expiry may free room before we refuse: sweep first.
             self.expire_idle()
@@ -151,14 +174,15 @@ class SessionManager:
             network=network,
             rounds_total=rounds,
             deadline_seconds=self.deadline_seconds,
+            space=space,
         )
         self._sessions[session.session_id] = session
-        self._issue(session, device)
+        self._issue(session)
         return session
 
-    def _issue(self, session: Session, device: Ppuf) -> None:
+    def _issue(self, session: Session) -> None:
         """Attach a fresh challenge + nonce and start the response clock."""
-        session.challenge = ChallengeSpace(device.crossbar).random(self._rng)
+        session.challenge = session.space.random(self._rng)
         session.nonce = secrets.token_hex(16)
         session.state = AWAITING_CLAIM
         now = self.clock()
@@ -188,13 +212,13 @@ class SessionManager:
         session.expires_at = self.clock() + self.idle_timeout
         return session, elapsed
 
-    def advance(self, session: Session, device: Ppuf) -> bool:
+    def advance(self, session: Session) -> bool:
         """After an accepted round: next challenge, or ``False`` if done."""
         session.round_index += 1
         if session.round_index >= session.rounds_total:
             self.close(session)
             return False
-        self._issue(session, device)
+        self._issue(session)
         return True
 
     def close(self, session: Session) -> None:

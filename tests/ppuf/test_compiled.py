@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from repro.errors import ReproError
-from repro.ppuf import CRPDataset, Ppuf
-from repro.ppuf.compiled import CompiledDevice
+from repro.ppuf import CRPDataset, Ppuf, PpufNetwork
+from repro.ppuf.compiled import CompiledDevice, CompiledNetwork
 from repro.ppuf.formats import FORMAT_VERSION
 from repro.ppuf.io import load_crps, load_ppuf, ppuf_from_dict, ppuf_to_dict
 from repro.ppuf.pack import PACK_MAGIC, ArtifactPack, build_pack
@@ -75,12 +75,50 @@ class TestArtifactInvariants:
             CompiledDevice.from_arrays(compiled.header(), arrays)
 
 
+#: The evaluation spine: defined once on the shared bases, inherited as-is
+#: by the live device and the compiled artifact.
+DEVICE_SPINE = (
+    "n", "l", "network", "challenge_space", "currents", "response",
+    "response_bits", "responses", "_check_challenge",
+)
+NETWORK_SPINE = (
+    "capacities", "capacity_matrix", "flow_network", "maxflow_current",
+    "edge_table", "circuit_current", "dc_solution",
+)
+
+
+class TestOneSpine:
+    @pytest.mark.parametrize("name", DEVICE_SPINE)
+    def test_device_method_is_defined_once(self, name):
+        assert getattr(Ppuf, name) is getattr(CompiledDevice, name)
+
+    @pytest.mark.parametrize("name", NETWORK_SPINE)
+    def test_network_method_is_defined_once(self, name):
+        assert getattr(PpufNetwork, name) is getattr(CompiledNetwork, name)
+
+    def test_artifact_compiles_to_itself(self, compiled, capacity_only):
+        assert compiled.compile() is compiled
+        assert capacity_only.compile(include_circuit=False) is capacity_only
+        with pytest.raises(ReproError, match="include_circuit=False"):
+            capacity_only.compile()
+
+    def test_device_id_and_network_lookup(self, tiny_ppuf, compiled):
+        assert tiny_ppuf.device_id == compiled.device_id
+        for device in (tiny_ppuf, compiled):
+            assert device.network("a") is device.network_a
+            assert device.network("b") is device.network_b
+            assert device.network(1) is device.network_b
+            with pytest.raises(ReproError, match="unknown network"):
+                device.network("c")
+
+
 class TestPicklePayloads:
     def test_network_pickle_drops_lazy_caches(self, tiny_ppuf):
         # Warm every lazy cache (capacities and I-V tables), then check the
         # wire weight: __getstate__ must drop them all, so a warmed network
         # pickles as small as a cold one.
-        tiny_ppuf.network_a.compile(include_circuit=True)
+        tiny_ppuf.compile(include_circuit=True)
+        assert set(tiny_ppuf.network_a._tables) == {0, 1}
         payload = pickle.dumps(tiny_ppuf.network_a)
         assert len(payload) < 100_000
         clone = pickle.loads(payload)
@@ -159,15 +197,6 @@ class TestRoundTrips:
                 restored.response_bits(challenges, engine=engine),
                 compiled.response_bits(challenges, engine=engine),
             )
-
-    def test_adopt_compiled_seeds_the_lazy_caches(self, tiny_ppuf, compiled):
-        fresh = ppuf_from_dict(ppuf_to_dict(tiny_ppuf))
-        fresh.network_a.adopt_compiled(compiled.network_a.tables())
-        assert set(fresh.network_a._capacities) == {0, 1}
-        challenges = challenges_for(tiny_ppuf, 8, seed=13)
-        assert np.array_equal(
-            fresh.response_bits(challenges), tiny_ppuf.response_bits(challenges)
-        )
 
 
 class TestFormatVersioning:

@@ -1,21 +1,18 @@
-"""Generic micro-batching and the CRP batcher built on it.
+"""Generic micro-batching.
 
 The :class:`MicroBatcher` contract: concurrent submits coalesce into list
 dispatches (size/linger triggers), each submitter gets *its own* result
 back in order, a failing dispatch fails exactly its batch with the typed
 error preserved, and a wrong-length dispatch is rejected rather than
-silently misassigning results.  :class:`CrpMicroBatcher` then must hand
-every caller the same bit a solo evaluation of its challenge yields.
+silently misassigning results.
 """
 
 import asyncio
 
-import numpy as np
 import pytest
 
 from repro.errors import ServiceError, ServiceTimeout, WorkerCrash
-from repro.ppuf import BatchEvaluator, Ppuf
-from repro.runtime.microbatch import CrpMicroBatcher, MicroBatcher
+from repro.runtime.microbatch import MicroBatcher
 
 
 def run(coroutine):
@@ -149,36 +146,3 @@ class TestMicroBatcher:
         busy_mid_flight, busy_after = run(go())
         assert busy_mid_flight is True
         assert busy_after is False
-
-
-class TestCrpMicroBatcher:
-    @pytest.fixture(scope="class")
-    def ppuf(self):
-        return Ppuf.create(8, 2, np.random.default_rng(91))
-
-    @pytest.fixture(scope="class")
-    def challenges(self, ppuf):
-        return ppuf.challenge_space().random_batch(
-            12, np.random.default_rng(92)
-        )
-
-    def test_coalesced_bits_match_solo_evaluation(self, ppuf, challenges):
-        sizes = []
-        evaluator = BatchEvaluator(ppuf, workers=1)
-
-        async def go():
-            batcher = CrpMicroBatcher(
-                evaluator, batch_size=8, linger_seconds=0.02,
-                on_dispatch=sizes.append,
-            )
-            return await asyncio.gather(
-                *(batcher.response(challenge) for challenge in challenges)
-            )
-
-        bits = run(go())
-        solo = [int(ppuf.response(challenge)) for challenge in challenges]
-        assert bits == solo
-        # the concurrent submits actually coalesced — at least one
-        # dispatch carried more than one challenge
-        assert sum(sizes) == len(challenges)
-        assert max(sizes) > 1

@@ -94,7 +94,7 @@ class TestDispatchShapeValidation:
 
 
 class TestWorkerFaultContainment:
-    """Regression: an exception escaping ``_verify_claim_task`` killed the
+    """Regression: an exception escaping the claim-verify task killed the
     connection.  ``float(10**400)`` raises ``OverflowError`` — outside the
     old ``(VerificationError, ServiceError)`` catch."""
 
@@ -134,8 +134,8 @@ class TestWorkerFaultContainment:
             "paths": [],
             "value": 10**400,  # float() of this raises OverflowError
         }
-        accepted, reason, seconds, fault = server_module._verify_claim_task(
-            artifact.device_id, ("pack", pack_path), "a", claim_wire, 1e-9
+        [(accepted, reason, seconds, fault)] = server_module._verify_claims_task(
+            [(artifact.device_id, ("pack", pack_path), "a", claim_wire)], 1e-9
         )
         assert (accepted, reason) == (False, "infeasible")
         assert seconds >= 0
@@ -319,14 +319,15 @@ class TestConnectionLimits:
 
     def test_session_limit_backpressure(self, device):
         manager = SessionManager(max_sessions=2, seed=0)
-        manager.open("d", device, "a", 1)
-        manager.open("d", device, "a", 1)
+        space = device.challenge_space()
+        manager.open("d", space, "a", 1)
+        manager.open("d", space, "a", 1)
         with pytest.raises(SessionLimitExceeded):
-            manager.open("d", device, "a", 1)
+            manager.open("d", space, "a", 1)
         # Closing frees capacity.
         session = next(iter(manager._sessions.values()))
         manager.close(session)
-        manager.open("d", device, "a", 1)
+        manager.open("d", space, "a", 1)
 
     def test_session_limit_over_the_wire_is_an_error_reply(self, device):
         async def go():
@@ -355,15 +356,10 @@ class TestConnectionLimits:
 
 class TestVerifyTimeout:
     def test_wedged_verification_is_cut_off(self, device, monkeypatch):
-        def wedged(device_id, public, network, claim_wire, rtol):
-            time.sleep(0.5)
-            return True, "ok", 0.0, None
-
         def wedged_batch(jobs, rtol):
             time.sleep(0.5)
             return [(True, "ok", 0.0, None) for _ in jobs]
 
-        monkeypatch.setattr(server_module, "_verify_claim_task", wedged)
         monkeypatch.setattr(server_module, "_verify_claims_task", wedged_batch)
 
         async def go():
@@ -415,17 +411,11 @@ class TestGracefulDrain:
     def test_stop_waits_for_inflight_verification(self, device, monkeypatch):
         completed = []
 
-        def slow_verify(device_id, public, network, claim_wire, rtol):
-            time.sleep(0.3)
-            completed.append(device_id)
-            return True, "ok", 0.3, None
-
         def slow_verify_batch(jobs, rtol):
             time.sleep(0.3)
             completed.extend(job[0] for job in jobs)
             return [(True, "ok", 0.3, None) for _ in jobs]
 
-        monkeypatch.setattr(server_module, "_verify_claim_task", slow_verify)
         monkeypatch.setattr(server_module, "_verify_claims_task", slow_verify_batch)
 
         async def go():

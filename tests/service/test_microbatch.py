@@ -255,7 +255,6 @@ class TestServerMicroBatchE2E:
             server = PpufAuthServer(
                 workers=0, rounds=2, seed=5, deadline_seconds=30.0, claim_batch_size=1
             )
-            assert server.batcher is None
             async with server:
                 async with ServiceClient("127.0.0.1", server.port) as client:
                     await client.enroll(ppuf)
@@ -265,8 +264,9 @@ class TestServerMicroBatchE2E:
 
         outcome, snapshot = asyncio.run(go())
         assert outcome.accepted
-        assert snapshot["claims_batched"] == 0
-        assert snapshot["claim_batch_occupancy"] == {}
+        # Batch size 1: every claim is dispatched on its own.
+        assert snapshot["claims_batched"] == 2
+        assert snapshot["claim_batch_occupancy"] == {"1": 2}
 
 
 class TestOccupancyMergesAcrossShards:

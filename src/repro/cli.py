@@ -159,7 +159,7 @@ def _command_respond(arguments) -> int:
             f"workers={report.workers}, chunks={report.chunks})",
             file=sys.stderr,
         )
-        print(f"# solve stats: {json.dumps(report.stats.to_dict())}", file=sys.stderr)
+        print(f"# solve stats: {json.dumps(report.snapshot())}", file=sys.stderr)
     else:
         from repro.flow import SolveStats
 
@@ -170,7 +170,7 @@ def _command_respond(arguments) -> int:
             for c in challenges
         ]
         if stats.solves:
-            print(f"# solve stats: {json.dumps(stats.to_dict())}", file=sys.stderr)
+            print(f"# solve stats: {json.dumps(stats.snapshot())}", file=sys.stderr)
 
     dataset = CRPDataset(
         [CRP(challenge, int(bit)) for challenge, bit in zip(challenges, bits)]

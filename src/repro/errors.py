@@ -43,6 +43,10 @@ class AttackError(ReproError):
     """Raised for invalid model-building attack configurations."""
 
 
+class MetricsError(ReproError):
+    """Raised when two telemetry records or snapshots cannot merge exactly."""
+
+
 class ServiceError(ReproError):
     """Raised for networked-service failures (wire, registry, sessions)."""
 

@@ -13,7 +13,6 @@ records into per-size samples.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Callable, List, Sequence, Union
 
@@ -55,7 +54,7 @@ class SolverTiming:
 
 
 def time_solver(
-    solver: Union[str, SolverSpec, Callable],
+    solver: Union[str, SolverSpec],
     make_instance: Callable[[int], FlowNetwork],
     sizes: Sequence[int],
     *,
@@ -67,9 +66,8 @@ def time_solver(
     Parameters
     ----------
     solver:
-        A registered algorithm name (preferred), a
-        :class:`~repro.flow.registry.SolverSpec`, or a bare solver callable
-        (kept for backward compatibility).
+        A registered algorithm name or a
+        :class:`~repro.flow.registry.SolverSpec`.
     make_instance:
         Builds a fresh :class:`FlowNetwork` for a node count (responsible for
         its own seeding if determinism is wanted).
@@ -80,30 +78,16 @@ def time_solver(
     source:
         Source vertex; the sink is always ``n - 1``.
     """
-    spec: Union[SolverSpec, None]
-    if isinstance(solver, str):
-        spec = get_solver(solver)
-    elif isinstance(solver, SolverSpec):
-        spec = solver
-    else:
-        spec = None
-
+    spec = get_solver(solver) if isinstance(solver, str) else solver
     samples: List[SolverTiming] = []
     for n in sizes:
         timing = SolverTiming(n=n)
         for _ in range(repeats):
             network = make_instance(n)
-            sink = network.n - 1
-            if spec is not None:
-                stats = SolveStats()
-                result = spec.solve(network, source, sink, stats=stats)
-                timing.seconds.append(stats.total_seconds)
-                timing.operations.append(stats.operations)
-            else:
-                start = time.perf_counter()
-                result = solver(network, source, sink)
-                timing.seconds.append(time.perf_counter() - start)
-                timing.operations.append(sum(result.stats.values()))
+            stats = SolveStats()
+            result = spec.solve(network, source, network.n - 1, stats=stats)
+            timing.seconds.append(stats.total_seconds)
+            timing.operations.append(stats.operations)
             timing.values.append(result.value)
         samples.append(timing)
     return samples

@@ -1,4 +1,4 @@
-"""Solver registry and the ``SolveStats`` telemetry spine.
+"""Solver registry and the ``SolveStats`` telemetry record.
 
 The paper's claims are *comparative* — execution O(n) vs simulation Ω(n²),
 verification O(n²/p) — so every scaling number in the reproduction should
@@ -8,12 +8,12 @@ come off one instrumented path.  This module provides it:
   plus capability metadata (``exact``/``approx``, ``supports_batch``,
   ``recursion_free``, a complexity string) and optional fast paths for
   dense matrices and batched ``(B, E)`` edge tables.
-* :class:`SolveStats` — the single structured telemetry record: wall
-  seconds per pipeline phase plus machine-independent operation counts
-  (BFS/DFS visits, augmenting paths, pushes/relabels, residual-edge
-  touches).  Everything from :func:`repro.flow.solve_max_flow` through
-  :class:`repro.ppuf.batch.BatchEvaluator` to the service's STATS wire
-  verb fills or aggregates one of these.
+* :class:`SolveStats` — the solver's telemetry record on the
+  :mod:`repro.metrics` spine: wall seconds per pipeline phase plus
+  machine-independent operation counts (BFS/DFS visits, augmenting paths,
+  pushes/relabels, residual-edge touches).  Everything from
+  :func:`repro.flow.solve_max_flow` through
+  :class:`repro.ppuf.batch.BatchEvaluator` fills or merges one of these.
 
 Solver modules register themselves at import time (importing
 :mod:`repro.flow` loads them all), so ``registered_solvers()`` is the one
@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, Optional, Tuple
 
 from repro.errors import SolverError
+from repro.metrics import Metrics
 
 #: The default exact solver every evaluation layer falls back to when no
 #: ``algorithm`` is named.  One constant instead of a ``"dinic"`` literal
@@ -41,8 +42,12 @@ DEFAULT_ALGORITHM = "dinic"
 # telemetry
 # ----------------------------------------------------------------------
 @dataclass
-class SolveStats:
+class SolveStats(Metrics):
     """Structured telemetry for one or more solver runs.
+
+    A :class:`~repro.metrics.Metrics` record: ``snapshot()`` is its JSON
+    form and ``merge()`` folds another record in exactly (a label that
+    differs becomes ``"mixed"``).
 
     Attributes
     ----------
@@ -86,11 +91,6 @@ class SolveStats:
         """Increment one operation counter."""
         self.counters[key] = self.counters.get(key, 0) + int(amount)
 
-    def add_counters(self, counts: Dict[str, int]) -> None:
-        """Merge one run's operation counts into the running totals."""
-        for key, value in counts.items():
-            self.counters[key] = self.counters.get(key, 0) + int(value)
-
     @property
     def operations(self) -> int:
         """Total operation count across all counter kinds."""
@@ -99,28 +99,6 @@ class SolveStats:
     def phase_total(self) -> float:
         """Sum of the per-phase seconds."""
         return sum(self.phase_seconds.values())
-
-    def merge(self, other: "SolveStats") -> None:
-        """Fold another record into this one (counters, phases, time)."""
-        if not self.algorithm:
-            self.algorithm = other.algorithm
-        elif other.algorithm and other.algorithm != self.algorithm:
-            self.algorithm = "mixed"
-        self.solves += other.solves
-        self.total_seconds += other.total_seconds
-        for name, seconds in other.phase_seconds.items():
-            self.phase_seconds[name] = self.phase_seconds.get(name, 0.0) + seconds
-        self.add_counters(other.counters)
-
-    def to_dict(self) -> dict:
-        """JSON-friendly form (reports, wire payloads, logs)."""
-        return {
-            "algorithm": self.algorithm,
-            "solves": self.solves,
-            "total_seconds": self.total_seconds,
-            "phase_seconds": dict(self.phase_seconds),
-            "counters": dict(self.counters),
-        }
 
 
 # ----------------------------------------------------------------------
@@ -256,14 +234,15 @@ class SolverSpec:
         return result
 
     def _record(self, stats: SolveStats, elapsed: float, counters, *, solves: int = 1):
-        if not stats.algorithm:
-            stats.algorithm = self.name
-        elif stats.algorithm != self.name:
-            stats.algorithm = "mixed"
-        stats.solves += solves
-        stats.total_seconds += elapsed
-        stats.phase_seconds["solve"] = stats.phase_seconds.get("solve", 0.0) + elapsed
-        stats.add_counters(counters)
+        stats.merge(
+            SolveStats(
+                algorithm=self.name,
+                solves=solves,
+                total_seconds=elapsed,
+                phase_seconds={"solve": elapsed},
+                counters={key: int(value) for key, value in counters.items()},
+            )
+        )
 
     def capabilities(self) -> dict:
         """Metadata dict for listings (CLI ``repro solvers``, docs)."""

@@ -34,8 +34,9 @@ turns the loop inside out:
 
 Every chunk fills one :class:`~repro.flow.registry.SolveStats` (phases
 ``prepare``/``solve``/``compare`` plus the solver's operation counts);
-:class:`BatchReport` merges them into the single telemetry record its
-consumers — benchmarks, protocol experiments, the service — read.
+:class:`BatchReport`, itself a ``SolveStats``, merges them into the single
+telemetry record its consumers — benchmarks, protocol experiments, the
+service — read.
 
 The ``"batched_dinic"`` solver reaches the same max-flow values as the
 scalar exact solvers up to float rounding (the value is unique;
@@ -47,14 +48,15 @@ equivalence test suite pins this.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import SolverError
 from repro.flow.csr import complete_topology
 from repro.flow.registry import SolveStats, get_solver
+from repro.metrics import GAUGES
 from repro.ppuf.challenge import Challenge
 from repro.ppuf.compiled import CompiledDevice
 from repro.ppuf.engines import check_engine
@@ -71,60 +73,33 @@ DEFAULT_CHUNK_SIZE = 256
 
 
 @dataclass
-class BatchReport:
+class BatchReport(SolveStats):
     """Structured accounting of one batched evaluation.
 
-    Benchmarks and the protocol experiments read this instead of timing
-    around the call themselves.
+    A :class:`~repro.flow.registry.SolveStats` — every chunk's record
+    merged: per-phase seconds (``prepare``/``solve``/``compare``) and the
+    solver's operation counts — plus the pipeline configuration actually
+    used.  ``total_seconds`` is the end-to-end wall clock of
+    :meth:`BatchEvaluator.evaluate`; with ``workers > 1`` chunks overlap,
+    so the phase sum can exceed it.  Benchmarks and the protocol
+    experiments read this instead of timing around the call themselves.
 
     Attributes
     ----------
     challenges:
         Number of challenges evaluated.
-    engine, algorithm, workers, chunks:
-        Pipeline configuration actually used.
-    stats:
-        The merged :class:`~repro.flow.registry.SolveStats` across all
-        chunks: per-phase seconds (``prepare``/``solve``/``compare``) and
-        the solver's operation counts.  ``stats.total_seconds`` is the
-        end-to-end wall clock of :meth:`BatchEvaluator.evaluate`; with
-        ``workers > 1`` chunks overlap, so the phase sum can exceed it.
-
-    ``prepare_seconds``/``solve_seconds``/``compare_seconds``/
-    ``total_seconds``/``solver_stats`` are views into ``stats`` kept for
-    earlier consumers of this report.
+    engine, workers, chunks:
+        Pipeline configuration actually used (``algorithm`` is the solver).
     """
 
-    challenges: int
-    engine: str
-    algorithm: str
-    workers: int
-    chunks: int
-    stats: SolveStats = field(default_factory=SolveStats)
-
-    @property
-    def prepare_seconds(self) -> float:
-        return self.stats.phase_seconds.get("prepare", 0.0)
+    challenges: int = 0
+    engine: str = ""
+    workers: int = 0
+    chunks: int = 0
 
     @property
     def solve_seconds(self) -> float:
-        return self.stats.phase_seconds.get("solve", 0.0)
-
-    @property
-    def compare_seconds(self) -> float:
-        return self.stats.phase_seconds.get("compare", 0.0)
-
-    @property
-    def total_seconds(self) -> float:
-        return self.stats.total_seconds
-
-    @total_seconds.setter
-    def total_seconds(self, value: float) -> None:
-        self.stats.total_seconds = float(value)
-
-    @property
-    def solver_stats(self) -> Dict[str, int]:
-        return self.stats.counters
+        return self.phase_seconds.get("solve", 0.0)
 
     @property
     def throughput(self) -> float:
@@ -221,7 +196,6 @@ class BatchEvaluator:
                 workers=self.workers,
                 chunks=0,
             )
-            report.stats.algorithm = self.algorithm
             report.total_seconds = time.perf_counter() - started
             return np.zeros(0, dtype=np.uint8), report
 
@@ -263,12 +237,14 @@ class BatchEvaluator:
             chunks=len(chunks),
         )
         for _, chunk_stats in outcomes:
-            report.stats.merge(chunk_stats)
+            report.merge(chunk_stats)
         if runtime_stats is not None:
-            # Fold the pool's telemetry into the solver counters so one
-            # report carries the whole story (tasks == chunks fanned out).
-            for name, value in runtime_stats.counters().items():
-                report.stats.count(f"runtime_{name}", value)
+            # Fold the pool's counters (not its gauges) into the solver
+            # counters so one report carries the whole story (tasks ==
+            # chunks fanned out).
+            for name, value in runtime_stats.snapshot().items():
+                if value and name not in GAUGES:
+                    report.count(f"runtime_{name}", value)
         # The merged per-chunk times double-count overlap under workers > 1;
         # the report's total is the end-to-end wall clock either way.
         report.total_seconds = time.perf_counter() - started

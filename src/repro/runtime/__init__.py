@@ -14,9 +14,9 @@ on this layer instead of hand-rolling executors:
 * :mod:`repro.runtime.microbatch` — :class:`MicroBatcher`: generic
   request coalescing (the service's claims) with typed failure
   pass-through.
-* :mod:`repro.runtime.stats` — :class:`RuntimeStats`: exact, mergeable
-  pool telemetry folded into ``SolveStats`` counters and ``STATS`` wire
-  snapshots.
+* :mod:`repro.runtime.stats` — :class:`RuntimeStats`: pool telemetry on
+  the :mod:`repro.metrics` spine, folded into ``SolveStats`` counters and
+  ``STATS`` wire snapshots.
 """
 
 from repro.runtime.microbatch import MicroBatcher
@@ -26,7 +26,7 @@ from repro.runtime.provision import (
     materialise_payload,
     ship_compiled,
 )
-from repro.runtime.stats import RuntimeStats, merge_runtime_snapshots
+from repro.runtime.stats import RuntimeStats
 
 __all__ = [
     "MicroBatcher",
@@ -34,6 +34,5 @@ __all__ = [
     "ShippedArtifact",
     "WorkerPool",
     "materialise_payload",
-    "merge_runtime_snapshots",
     "ship_compiled",
 ]

@@ -1,28 +1,22 @@
-"""Runtime telemetry: what the worker pools did, exactly mergeable.
+"""Runtime telemetry: what the worker pools did.
 
 Every :class:`~repro.runtime.pool.WorkerPool` fills one
-:class:`RuntimeStats`.  Like :class:`~repro.flow.registry.SolveStats` and
-:class:`~repro.service.stats.ServerStats`, the record is *mergeable* with
-an exact fold: counters sum, gauges take the max, so merging N pools'
-stats (in any order, any grouping) equals what one observer watching all
-N pools would have counted.  The service layer leans on this — a fleet
-router folds per-shard ``runtime`` snapshots bucket-wise into one fleet
-view — and the property suite (``tests/runtime/test_stats_merge.py``)
-pins associativity and order-independence.
+:class:`RuntimeStats`, a :class:`~repro.metrics.Metrics` record: its
+snapshot is the ``runtime`` entry of a ``STATS`` wire reply, and the one
+exact fold (:func:`repro.metrics.merge`) sums its counters and takes the
+max of its gauge, so a fleet router folding per-shard ``runtime`` entries
+gets what one observer of every pool would have counted.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
-
-#: Snapshot keys that merge by ``max`` (gauges); every other numeric key
-#: merges by ``+`` (counters).
-GAUGE_KEYS = frozenset({"queue_high_water"})
+from repro.metrics import Metrics
 
 
 @dataclass
-class RuntimeStats:
+class RuntimeStats(Metrics):
     """Counters for one worker pool's lifetime.
 
     Attributes
@@ -39,11 +33,8 @@ class RuntimeStats:
         once — a single SIGKILL with three tasks in flight is three).
     pool_restarts:
         Times the pool replaced a broken executor with a fresh one.
-    batches_dispatched:
-        Micro-batches dispatched through a pool-backed batcher (filled
-        by consumers that batch; stays 0 otherwise).
     queue_high_water:
-        Most tasks ever simultaneously in flight (gauge; merges by max).
+        Most tasks ever simultaneously in flight (a gauge: merges by max).
     """
 
     tasks_submitted: int = 0
@@ -52,52 +43,4 @@ class RuntimeStats:
     task_timeouts: int = 0
     worker_crashes: int = 0
     pool_restarts: int = 0
-    batches_dispatched: int = 0
     queue_high_water: int = 0
-
-    def merge(self, other: "RuntimeStats") -> "RuntimeStats":
-        """Fold ``other`` in exactly (returns ``self``).
-
-        Associative and order-independent: merging any permutation or
-        grouping of the same records yields identical fields.
-        """
-        for entry in fields(self):
-            ours = getattr(self, entry.name)
-            theirs = getattr(other, entry.name)
-            if entry.name in GAUGE_KEYS:
-                setattr(self, entry.name, max(ours, theirs))
-            else:
-                setattr(self, entry.name, ours + theirs)
-        return self
-
-    def counters(self) -> dict:
-        """Non-zero counter fields (no gauges) — the fold target for
-        :class:`~repro.flow.registry.SolveStats.counters`."""
-        return {
-            entry.name: getattr(self, entry.name)
-            for entry in fields(self)
-            if entry.name not in GAUGE_KEYS and getattr(self, entry.name)
-        }
-
-    def snapshot(self) -> dict:
-        """JSON-ready form (what a ``STATS`` wire reply carries)."""
-        return {entry.name: getattr(self, entry.name) for entry in fields(self)}
-
-
-def merge_runtime_snapshots(base: dict, other: dict) -> dict:
-    """Merge two :meth:`RuntimeStats.snapshot` dicts (wire form).
-
-    Mirrors :meth:`RuntimeStats.merge` on plain dicts so a fleet router
-    can fold per-shard ``runtime`` entries without reconstructing
-    objects: counters sum, :data:`GAUGE_KEYS` take the max, and keys one
-    side lacks (snapshots from mixed versions) pass through unchanged.
-    """
-    merged = dict(base)
-    for key, value in other.items():
-        if key not in merged:
-            merged[key] = value
-        elif key in GAUGE_KEYS:
-            merged[key] = max(merged[key], value)
-        else:
-            merged[key] = merged[key] + value
-    return merged

@@ -30,7 +30,7 @@ from repro.service.sessions import (
     SessionManager,
     UnknownSession,
 )
-from repro.service.stats import LatencyHistogram, ServerStats
+from repro.service.stats import ServerStats
 
 __all__ = [
     "AuthOutcome",
@@ -52,6 +52,5 @@ __all__ = [
     "SessionLimitExceeded",
     "ReplayRejected",
     "UnknownSession",
-    "LatencyHistogram",
     "ServerStats",
 ]

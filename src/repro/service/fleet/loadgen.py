@@ -32,6 +32,7 @@ import numpy as np
 
 from repro.errors import ServiceError
 from repro.flow.registry import DEFAULT_ALGORITHM
+from repro.metrics import Metrics
 from repro.runtime.pool import WorkerPool
 from repro.service.client import ServiceClient
 from repro.service.faults import FaultPlan, FaultyTransport
@@ -39,8 +40,9 @@ from repro.service.resilience import RetryPolicy
 
 
 @dataclass
-class LoadReport:
-    """What a load run produced, in fleet-benchmark units."""
+class LoadReport(Metrics):
+    """What a load run produced, in fleet-benchmark units.  Per-process
+    reports merge: ``duration_seconds`` is a gauge (workers overlap)."""
 
     clients: int
     duration_seconds: float
@@ -62,19 +64,6 @@ class LoadReport:
         if not self.latencies_ms:
             return 0.0
         return float(np.percentile(np.asarray(self.latencies_ms), q))
-
-    def merge(self, other: "LoadReport") -> "LoadReport":
-        """Fold another worker's report in (duration is the max, not sum)."""
-        self.clients += other.clients
-        self.duration_seconds = max(self.duration_seconds, other.duration_seconds)
-        self.sessions += other.sessions
-        self.accepted += other.accepted
-        self.rejected += other.rejected
-        self.errors += other.errors
-        self.hostile_sessions += other.hostile_sessions
-        self.hostile_rejected += other.hostile_rejected
-        self.latencies_ms.extend(other.latencies_ms)
-        return self
 
     def to_dict(self) -> dict:
         return {
@@ -210,7 +199,7 @@ async def run_load(
 # ----------------------------------------------------------------------
 # process fan-out (the blocking entry point the CLI and bench use)
 # ----------------------------------------------------------------------
-def _load_worker(args: dict) -> dict:
+def _load_worker(args: dict) -> LoadReport:
     """One loadgen process: open the pack locally, drive a client slice."""
     devices = args["devices"]
     if devices is None:
@@ -218,7 +207,7 @@ def _load_worker(args: dict) -> dict:
 
         pack = ArtifactPack(args["pack"])
         devices = [pack.device(device_id) for device_id in args["device_ids"]]
-    report = asyncio.run(
+    return asyncio.run(
         run_load(
             args["host"],
             args["port"],
@@ -232,17 +221,6 @@ def _load_worker(args: dict) -> dict:
             hostile_fraction=0.0,
         )
     )
-    return {
-        "clients": report.clients,
-        "duration_seconds": report.duration_seconds,
-        "sessions": report.sessions,
-        "accepted": report.accepted,
-        "rejected": report.rejected,
-        "errors": report.errors,
-        "hostile_sessions": report.hostile_sessions,
-        "hostile_rejected": report.hostile_rejected,
-        "latencies_ms": report.latencies_ms,
-    }
 
 
 def generate_load(
@@ -344,5 +322,5 @@ def generate_load(
     merged = LoadReport(clients=0, duration_seconds=duration_seconds)
     with WorkerPool(len(jobs)) as pool:
         for result in pool.map(_load_worker, jobs):
-            merged.merge(LoadReport(**result))
+            merged.merge(result)
     return merged

@@ -18,8 +18,10 @@ fleet unchanged.  Per connection it:
    chunk is written and drained before the next is read, so a slow peer
    backpressures instead of ballooning the router);
 3. answers ``STATS`` itself by fanning the request out to every shard and
-   folding the snapshots with :meth:`ServerStats.merge_snapshot` — the
-   merged counters are exactly the sum of what the shards observed.
+   folding the snapshots into ``ServerStats().snapshot()`` with the one
+   exact merge (:func:`repro.metrics.merge`) — the merged counters are
+   exactly the sum of what the shards observed.  A shard whose snapshot
+   cannot merge is reported unhealthy; it never takes the reply down.
 
 A connection whose shard is down gets one clean wire ``ERROR`` frame and
 a close — never a hang; a shard that dies mid-session closes the spliced
@@ -39,12 +41,14 @@ because routing is a pure function of the (shared) shard names.
 from __future__ import annotations
 
 import asyncio
+import copy
 import logging
 import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Union
 
-from repro.errors import ServiceError, ServiceTimeout
+from repro.errors import MetricsError, ServiceError, ServiceTimeout
+from repro.metrics import Metrics, merge
 from repro.service import wire
 from repro.service.fleet.mapfile import ShardMapFile
 from repro.service.fleet.topology import ShardDescriptor, ShardMap
@@ -61,7 +65,7 @@ ROUTABLE_TYPES = frozenset({wire.ENROLL, wire.HELLO})
 
 
 @dataclass
-class RouterStats:
+class RouterStats(Metrics):
     """The router's own counters (shard counters live on the shards)."""
 
     connections_opened: int = 0
@@ -75,18 +79,6 @@ class RouterStats:
     splice_bytes: Dict[str, int] = field(
         default_factory=lambda: {"c2s": 0, "s2c": 0}
     )
-
-    def snapshot(self) -> dict:
-        return {
-            "connections_opened": self.connections_opened,
-            "connections_routed": self.connections_routed,
-            "shard_unavailable": self.shard_unavailable,
-            "unroutable_frames": self.unroutable_frames,
-            "protocol_errors": self.protocol_errors,
-            "stats_fanouts": self.stats_fanouts,
-            "map_reloads": self.map_reloads,
-            "splice_bytes": dict(self.splice_bytes),
-        }
 
 
 class FleetRouter:
@@ -447,7 +439,11 @@ class FleetRouter:
         try:
             await wire.write_message(writer, {"type": wire.STATS})
             reply = await wire.read_message(reader, timeout=self.stats_timeout)
-            if reply is None or reply.get("type") != wire.STATS:
+            if (
+                reply is None
+                or reply.get("type") != wire.STATS
+                or not isinstance(reply.get("stats"), dict)
+            ):
                 entry["error"] = f"bad stats reply: {reply!r}"
                 return entry
             entry["healthy"] = True
@@ -476,16 +472,17 @@ class FleetRouter:
         entries: List[dict] = await asyncio.gather(
             *(self._shard_snapshot(shard) for shard in shards)
         )
-        merged = ServerStats.merge_snapshot(
-            entry["stats"] for entry in entries if entry["healthy"]
-        )
-        # ``devices`` is a gauge over a fleet that maps one shared pack —
-        # every shard reports the same population, so the fleet size is
-        # the max, not the sum.
-        device_counts = [
-            entry["stats"].get("devices", 0) for entry in entries if entry["healthy"]
-        ]
-        merged["devices"] = max(device_counts, default=0)
+        merged = ServerStats().snapshot()
+        for entry in entries:
+            if not entry["healthy"]:
+                continue
+            # Fold into a copy: a snapshot that fails halfway must leave
+            # no trace of itself in the fleet view.
+            try:
+                merged = merge(copy.deepcopy(merged), entry["stats"])
+            except MetricsError as error:
+                entry["healthy"] = False
+                entry["error"] = f"unmergeable stats: {error}"
         return {
             "type": wire.STATS,
             "stats": merged,

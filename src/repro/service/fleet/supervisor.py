@@ -182,7 +182,11 @@ async def probe_stats(host: str, port: int, *, timeout: float = 5.0) -> dict:
             await writer.wait_closed()
         except (ConnectionResetError, BrokenPipeError):
             pass
-    if reply is None or reply.get("type") != wire.STATS:
+    if (
+        reply is None
+        or reply.get("type") != wire.STATS
+        or not isinstance(reply.get("stats"), dict)
+    ):
         raise ServiceError(f"unhealthy stats reply: {reply!r}")
     return reply["stats"]
 

@@ -337,7 +337,7 @@ class PpufAuthServer:
             max_sessions=max_sessions,
         )
         self.pool = VerificationPool(workers, timeout=verify_timeout)
-        self.stats = ServerStats()
+        self.stats = ServerStats(runtime=self.pool.runtime.stats)
         self.batcher = ClaimMicroBatcher(
             self.pool,
             self.stats,
@@ -680,17 +680,9 @@ class PpufAuthServer:
         }
 
     async def _on_stats(self, message: dict) -> dict:
-        snapshot = self.stats.snapshot()
-        snapshot["active_sessions"] = len(self.sessions)
-        snapshot["devices"] = len(self.registry)
-        snapshot["open_connections"] = self._connections
-        # Drain visibility: a supervisor deciding whether this shard has
-        # settled needs to see work that is queued but not yet a session
-        # counter — claims in the pool plus claims lingering in the
-        # micro-batcher.
-        snapshot["verifications_in_flight"] = self.pool.active + self.batcher.queued
-        # The runtime substrate's own telemetry (task/crash/restart
-        # counters) rides the same snapshot; the fleet router folds the
-        # per-shard entries exactly (see ServerStats.merge_snapshot).
-        snapshot["runtime"] = self.pool.runtime.stats.snapshot()
-        return {"type": wire.STATS, "stats": snapshot}
+        stats = self.stats
+        stats.active_sessions = len(self.sessions)
+        stats.devices = len(self.registry)
+        stats.open_connections = self._connections
+        stats.verifications_in_flight = self.pool.active + self.batcher.queued
+        return {"type": wire.STATS, "stats": stats.snapshot()}

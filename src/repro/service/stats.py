@@ -1,100 +1,28 @@
 """Per-server counters and the verify-latency histograms.
 
 Everything here is mutated from the single event-loop thread, so plain
-integer increments suffice — no locks.  ``snapshot()`` produces the JSON
-payload the ``STATS`` wire request returns.
+integer increments suffice — no locks.  :class:`ServerStats` is a
+:class:`~repro.metrics.Metrics` record: ``snapshot()`` is the payload the
+``STATS`` wire request returns, and ``ServerStats().snapshot()`` is the
+complete zero template a fleet router folds per-shard snapshots into with
+the one exact merge (:func:`repro.metrics.merge`) — the merged counters
+equal what a single server observing the union of the traffic would have
+counted.
 
 Verify latency is recorded twice: once in the overall histogram and once
 per solver algorithm (claims carry the registered solver name on the wire,
 validated against :mod:`repro.flow.registry`), so a fleet operator can see
 live which algorithms provers use and what each one costs to verify.
-
-Stats are *mergeable*: every counter sums and every histogram adds
-bucket-wise (:meth:`LatencyHistogram.merge`), so a fleet router can fan a
-``STATS`` request out to N shards and fold the snapshots into one exact
-fleet snapshot (:meth:`ServerStats.merge_snapshot`) — the merged counters
-equal what a single server observing the union of the traffic would have
-counted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List
+from typing import Dict
 
-from repro.errors import ServiceError
 from repro.flow.registry import is_registered
-from repro.runtime.stats import merge_runtime_snapshots
-
-
-#: Upper bucket edges [s] for the verify-latency histogram — log-spaced so
-#: both a 10-node toy device (~100 µs verifies) and a secure-size device
-#: (seconds) land in informative buckets.  The last bucket is open-ended.
-DEFAULT_BUCKET_EDGES = (
-    1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 1e-1, 3e-1, 1.0, 3.0, 10.0,
-)
-
-
-@dataclass
-class LatencyHistogram:
-    """Fixed-bucket latency histogram with running total/max."""
-
-    edges: tuple = DEFAULT_BUCKET_EDGES
-    counts: List[int] = field(default_factory=list)
-    total_seconds: float = 0.0
-    max_seconds: float = 0.0
-    observations: int = 0
-
-    def __post_init__(self):
-        if not self.counts:
-            self.counts = [0] * (len(self.edges) + 1)
-
-    def observe(self, seconds: float) -> None:
-        index = len(self.edges)
-        for i, edge in enumerate(self.edges):
-            if seconds <= edge:
-                index = i
-                break
-        self.counts[index] += 1
-        self.observations += 1
-        self.total_seconds += seconds
-        self.max_seconds = max(self.max_seconds, seconds)
-
-    @property
-    def mean_seconds(self) -> float:
-        return self.total_seconds / self.observations if self.observations else 0.0
-
-    def merge(self, other: "LatencyHistogram") -> "LatencyHistogram":
-        """Fold ``other`` into this histogram bucket-wise (returns ``self``).
-
-        Merging is exact — the result is indistinguishable from one
-        histogram having observed both streams — but only defined for
-        identical bucket edges (shards share :data:`DEFAULT_BUCKET_EDGES`).
-        """
-        if tuple(other.edges) != tuple(self.edges):
-            raise ServiceError(
-                "cannot merge latency histograms with different bucket edges: "
-                f"{self.edges!r} vs {other.edges!r}"
-            )
-        for index, count in enumerate(other.counts):
-            self.counts[index] += count
-        self.observations += other.observations
-        self.total_seconds += other.total_seconds
-        self.max_seconds = max(self.max_seconds, other.max_seconds)
-        return self
-
-    def snapshot(self) -> dict:
-        buckets = {}
-        for edge, count in zip(self.edges, self.counts):
-            buckets[f"le_{edge:g}"] = count
-        buckets["inf"] = self.counts[-1]
-        return {
-            "observations": self.observations,
-            "mean_seconds": self.mean_seconds,
-            "max_seconds": self.max_seconds,
-            "buckets": buckets,
-        }
-
+from repro.metrics import Histogram, Metrics
+from repro.runtime.stats import RuntimeStats
 
 #: Telemetry key for claims naming no (or an unregistered) solver.
 UNKNOWN_ALGORITHM = "unknown"
@@ -119,37 +47,8 @@ def shard_settled(previous: dict, current: dict) -> bool:
     return current.get("sessions_opened", 0) == previous.get("sessions_opened", 0)
 
 
-def merge_histogram_snapshots(base: dict, other: dict) -> dict:
-    """Merge two :meth:`LatencyHistogram.snapshot` dicts bucket-wise.
-
-    Works on the wire form (what a ``STATS`` reply carries), so a router
-    can merge shard snapshots without reconstructing histogram objects.
-    ``total_seconds`` is recovered from ``mean_seconds * observations``,
-    which JSON round-trips exactly for the sums involved.
-    """
-    if set(base["buckets"]) != set(other["buckets"]):
-        raise ServiceError(
-            "cannot merge histogram snapshots with different buckets: "
-            f"{sorted(base['buckets'])!r} vs {sorted(other['buckets'])!r}"
-        )
-    observations = base["observations"] + other["observations"]
-    total = (
-        base["mean_seconds"] * base["observations"]
-        + other["mean_seconds"] * other["observations"]
-    )
-    return {
-        "observations": observations,
-        "mean_seconds": total / observations if observations else 0.0,
-        "max_seconds": max(base["max_seconds"], other["max_seconds"]),
-        "buckets": {
-            key: base["buckets"][key] + other["buckets"][key]
-            for key in base["buckets"]
-        },
-    }
-
-
 @dataclass
-class ServerStats:
+class ServerStats(Metrics):
     """Counters for everything the acceptance criteria care about."""
 
     enrollments: int = 0
@@ -189,8 +88,17 @@ class ServerStats:
     #: -> number of batches dispatched at that size.  Mean occupancy is
     #: ``claims_batched / claim_batches``.
     claim_batch_occupancy: Dict[str, int] = field(default_factory=dict)
-    verify_latency: LatencyHistogram = field(default_factory=LatencyHistogram)
-    solver_latency: Dict[str, LatencyHistogram] = field(default_factory=dict)
+    verify_latency: Histogram = field(default_factory=Histogram)
+    solver_latency: Dict[str, Histogram] = field(default_factory=dict)
+    # --- live state, set by the server when it answers STATS -------------
+    active_sessions: int = 0
+    #: a gauge: every shard of a fleet maps the same pack
+    devices: int = 0
+    open_connections: int = 0
+    #: claims in the pool plus claims lingering in the micro-batcher
+    verifications_in_flight: int = 0
+    #: the verification pool's own record, shared with the pool
+    runtime: RuntimeStats = field(default_factory=RuntimeStats)
 
     def observe_verify(self, algorithm, seconds: float) -> None:
         """Record one claim verification: count, overall and per-algorithm.
@@ -205,85 +113,5 @@ class ServerStats:
         name = algorithm if is_registered(algorithm) else UNKNOWN_ALGORITHM
         histogram = self.solver_latency.get(name)
         if histogram is None:
-            histogram = self.solver_latency[name] = LatencyHistogram()
+            histogram = self.solver_latency[name] = Histogram()
         histogram.observe(seconds)
-
-    @classmethod
-    def merge_snapshot(cls, snapshots: Iterable[dict]) -> dict:
-        """Fold per-shard ``snapshot()`` dicts into one fleet snapshot.
-
-        Counters (any top-level numeric key, including gauges a server
-        appends to the wire snapshot such as ``active_sessions``) sum;
-        ``verify_latency`` and the per-algorithm ``solver_latency``
-        histograms add bucket-wise — the merge is exact, so fleet counters
-        equal the sum of what each shard observed.  An empty iterable
-        yields a fresh server's snapshot.
-        """
-        merged = cls().snapshot()
-        for snapshot in snapshots:
-            for key, value in snapshot.items():
-                if key == "verify_latency":
-                    merged[key] = merge_histogram_snapshots(merged[key], value)
-                elif key == "solver_latency":
-                    for name, histogram in value.items():
-                        if name in merged[key]:
-                            merged[key][name] = merge_histogram_snapshots(
-                                merged[key][name], histogram
-                            )
-                        else:
-                            merged[key][name] = dict(histogram)
-                elif key == "claim_batch_occupancy":
-                    bucket = merged.setdefault(key, {})
-                    for size, count in value.items():
-                        bucket[size] = bucket.get(size, 0) + count
-                elif key == "runtime":
-                    # Per-shard WorkerPool telemetry: counters sum, gauges
-                    # max — the same exact fold as RuntimeStats.merge.
-                    base = merged.get(key)
-                    merged[key] = (
-                        dict(value)
-                        if base is None
-                        else merge_runtime_snapshots(base, value)
-                    )
-                elif isinstance(value, bool) or not isinstance(value, (int, float)):
-                    merged.setdefault(key, value)
-                else:
-                    merged[key] = merged.get(key, 0) + value
-        merged["solver_latency"] = dict(sorted(merged["solver_latency"].items()))
-        return merged
-
-    def snapshot(self) -> dict:
-        return {
-            "enrollments": self.enrollments,
-            "sessions_opened": self.sessions_opened,
-            "sessions_accepted": self.sessions_accepted,
-            "sessions_rejected": self.sessions_rejected,
-            "sessions_expired": self.sessions_expired,
-            "rounds_issued": self.rounds_issued,
-            "claims_verified": self.claims_verified,
-            "deadline_misses": self.deadline_misses,
-            "replays_rejected": self.replays_rejected,
-            "unknown_devices": self.unknown_devices,
-            "protocol_errors": self.protocol_errors,
-            "verify_timeouts": self.verify_timeouts,
-            "connection_timeouts": self.connection_timeouts,
-            "worker_faults": self.worker_faults,
-            "sweeper_faults": self.sweeper_faults,
-            "connections_rejected": self.connections_rejected,
-            "connections_opened": self.connections_opened,
-            "retries_observed": self.retries_observed,
-            "internal_errors": self.internal_errors,
-            "claim_batches": self.claim_batches,
-            "claims_batched": self.claims_batched,
-            "claim_batch_occupancy": {
-                size: count
-                for size, count in sorted(
-                    self.claim_batch_occupancy.items(), key=lambda item: int(item[0])
-                )
-            },
-            "verify_latency": self.verify_latency.snapshot(),
-            "solver_latency": {
-                name: histogram.snapshot()
-                for name, histogram in sorted(self.solver_latency.items())
-            },
-        }

@@ -5,7 +5,6 @@ import pytest
 
 from repro.flow import (
     SolveStats,
-    dinic,
     get_solver,
     random_complete_network,
     time_solver,
@@ -17,7 +16,7 @@ class TestSolveStats:
         stats = SolveStats()
         stats.count("pushes", 3)
         stats.count("relabels")
-        stats.add_counters({"pushes": 2, "gap_events": 5})
+        stats.merge(SolveStats(counters={"pushes": 2, "gap_events": 5}))
         assert stats.counters == {"pushes": 5, "relabels": 1, "gap_events": 5}
         assert stats.operations == 11
 
@@ -52,13 +51,21 @@ class TestSolveStats:
         assert left.total_seconds == pytest.approx(1.5)
         assert left.counters == {"augmentations": 4, "pushes": 7}
 
-    def test_to_dict_roundtrips_fields(self):
+    def test_snapshot_roundtrips_fields(self):
         stats = SolveStats(algorithm="dinic", solves=1, total_seconds=0.25)
         stats.count("augmentations", 2)
-        payload = stats.to_dict()
-        assert payload["algorithm"] == "dinic"
-        assert payload["solves"] == 1
-        assert payload["counters"] == {"augmentations": 2}
+        payload = stats.snapshot()
+        assert payload == {
+            "algorithm": "dinic",
+            "solves": 1,
+            "total_seconds": 0.25,
+            "phase_seconds": {},
+            "counters": {"augmentations": 2},
+        }
+        assert SolveStats(**payload) == stats
+        # The snapshot is a copy, not a view of the record.
+        payload["counters"]["augmentations"] = 99
+        assert stats.counters == {"augmentations": 2}
 
 
 class TestTimeSolver:
@@ -68,7 +75,7 @@ class TestTimeSolver:
         def make(n):
             return random_complete_network(n, rng)
 
-        samples = time_solver(dinic, make, sizes=(4, 8), repeats=2)
+        samples = time_solver("dinic", make, sizes=(4, 8), repeats=2)
         assert [s.n for s in samples] == [4, 8]
         for sample in samples:
             assert len(sample.seconds) == 2
@@ -95,5 +102,5 @@ class TestTimeSolver:
         def make(n):
             return random_complete_network(n, rng)
 
-        samples = time_solver(dinic, make, sizes=(4, 16), repeats=2)
+        samples = time_solver("dinic", make, sizes=(4, 16), repeats=2)
         assert samples[1].mean_operations > samples[0].mean_operations

@@ -83,14 +83,12 @@ class TestEvaluator:
         assert report.workers == 1
         assert report.total_seconds > 0
         assert report.throughput > 0
-        for stage in (
-            report.prepare_seconds,
-            report.solve_seconds,
-            report.compare_seconds,
-        ):
-            assert stage >= 0
-        assert report.solver_stats["augmentations"] > 0
-        assert report.solver_stats["bfs_edge_visits"] > 0
+        assert set(report.phase_seconds) == {"prepare", "solve", "compare"}
+        assert all(stage >= 0 for stage in report.phase_seconds.values())
+        assert report.solve_seconds == report.phase_seconds["solve"]
+        assert report.solves == 2 * len(challenges)
+        assert report.counters["augmentations"] > 0
+        assert report.counters["bfs_edge_visits"] > 0
 
     def test_evaluator_reuse_is_stable(self, small_ppuf, challenges):
         # The dense buffers are reused across calls; results must not be.
@@ -102,7 +100,7 @@ class TestEvaluator:
     def test_circuit_report_counts_dc_solves(self, small_ppuf, challenges):
         evaluator = BatchEvaluator(small_ppuf, engine="circuit")
         _, report = evaluator.evaluate(challenges[:2])
-        assert report.solver_stats == {"dc_solves": 4}
+        assert report.counters == {"dc_solves": 4}
 
     def test_empty_batch(self, small_ppuf):
         bits, report = BatchEvaluator(small_ppuf).evaluate([])

@@ -16,7 +16,9 @@ from repro.ppuf import Ppuf
 from repro.ppuf.io import ppuf_to_dict
 from repro.service import PpufAuthServer, ServiceClient, wire
 from repro.service.fleet import FleetRouter, ShardDescriptor, ShardMap
+from repro.service.fleet.supervisor import probe_stats
 from repro.service.registry import device_id_for
+from repro.service.stats import ServerStats
 
 
 @pytest.fixture(scope="module")
@@ -181,6 +183,102 @@ class TestFleetStats:
         assert reply["fleet"]["healthy_shards"] == 1
         states = {s["name"]: s["healthy"] for s in reply["fleet"]["shards"]}
         assert states == {"shard-0": False, "shard-1": True}
+
+
+class FakeShard:
+    """A loopback peer that answers every frame with one canned reply."""
+
+    def __init__(self, reply):
+        self.reply = reply
+        self.port = None
+        self._server = None
+
+    async def _answer(self, reader, writer):
+        while await reader.readline():
+            await wire.write_message(writer, self.reply)
+        writer.close()
+
+    async def __aenter__(self):
+        self._server = await asyncio.start_server(self._answer, "127.0.0.1", 0)
+        self.port = self._server.sockets[0].getsockname()[1]
+        return self
+
+    async def __aexit__(self, *exc_info):
+        self._server.close()
+        await self._server.wait_closed()
+
+
+def _poisoned(key, value):
+    """A full shard snapshot with busy counters and one poisoned key: a
+    fold that stopped halfway would leak the counters into the fleet."""
+    stats = ServerStats(enrollments=1000, sessions_opened=1000).snapshot()
+    stats[key] = value
+    return {"type": wire.STATS, "stats": stats}
+
+
+def _other_buckets():
+    stats = _poisoned("claims_verified", 1000)
+    stats["stats"]["verify_latency"]["buckets"] = {"le_1": 0, "inf": 0}
+    return stats
+
+
+#: Six malformed STATS replies; each used to take the fleet STATS down or
+#: to be folded in partly and reported healthy.
+MALFORMED_REPLIES = {
+    "other_buckets": _other_buckets(),
+    "histogram_is_a_number": _poisoned("verify_latency", 5),
+    "runtime_is_a_list": _poisoned("runtime", [1, 2]),
+    "string_counter": _poisoned("sessions_opened", "7"),
+    "stats_not_a_dict": {"type": wire.STATS, "stats": [1, 2]},
+    "no_stats": {"type": wire.STATS},
+}
+
+
+class TestUnmergeableShardContained:
+    @pytest.mark.parametrize("fake_index", [0, 1])
+    @pytest.mark.parametrize("malformation", sorted(MALFORMED_REPLIES))
+    def test_fleet_stats_survive_a_malformed_shard(
+        self, devices, malformation, fake_index
+    ):
+        async def go():
+            real = PpufAuthServer(workers=0, rounds=1, seed=5)
+            await real.start()
+            try:
+                async with ServiceClient("127.0.0.1", real.port) as client:
+                    await client.enroll(devices[0])
+                async with FakeShard(MALFORMED_REPLIES[malformation]) as fake:
+                    ports = [real.port, real.port]
+                    ports[fake_index] = fake.port
+                    shard_map = ShardMap()
+                    for index, port in enumerate(ports):
+                        shard_map.add(
+                            ShardDescriptor(name=f"shard-{index}", port=port)
+                        )
+                    async with FleetRouter(shard_map, stats_timeout=2.0) as router:
+                        async with ServiceClient(
+                            "127.0.0.1", router.port, timeout=5.0
+                        ) as client:
+                            return await client.request_ok({"type": wire.STATS})
+            finally:
+                await real.stop()
+
+        reply = run(go())
+        fleet = reply["fleet"]
+        assert fleet["healthy_shards"] == 1
+        fake, real = fleet["shards"][fake_index], fleet["shards"][1 - fake_index]
+        assert fake["healthy"] is False and fake["error"]
+        assert real["healthy"] is True
+        # The fleet view is exactly the real shard's: nothing of the fake.
+        assert reply["stats"] == real["stats"]
+        assert reply["stats"]["enrollments"] == 1
+
+    def test_probe_rejects_a_reply_without_stats(self):
+        async def go():
+            async with FakeShard(MALFORMED_REPLIES["no_stats"]) as fake:
+                await probe_stats("127.0.0.1", fake.port, timeout=2.0)
+
+        with pytest.raises(ServiceError, match="unhealthy stats reply"):
+            run(go())
 
 
 class TestRouterFailureModes:

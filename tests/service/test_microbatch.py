@@ -16,6 +16,7 @@ import pytest
 
 from repro.errors import ServiceError, ServiceTimeout
 from repro.flow.decomposition import PathFlow
+from repro.metrics import merge
 from repro.ppuf import Ppuf
 from repro.ppuf.verification import (
     ClaimVerdict,
@@ -277,7 +278,8 @@ class TestOccupancyMergesAcrossShards:
         b = ServerStats()
         b.claim_batches, b.claims_batched = 2, 9
         b.claim_batch_occupancy = {"4": 1, "5": 1}
-        merged = ServerStats.merge_snapshot([a.snapshot(), b.snapshot()])
+        merged = merge(ServerStats().snapshot(), a.snapshot())
+        merged = merge(merged, b.snapshot())
         assert merged["claim_batches"] == 5
         assert merged["claims_batched"] == 18
         assert merged["claim_batch_occupancy"] == {"1": 1, "4": 3, "5": 1}

@@ -61,7 +61,7 @@ from repro.ppuf.challenge import Challenge
 from repro.ppuf.compiled import CompiledDevice
 from repro.ppuf.engines import check_engine
 from repro.runtime.pool import WorkerPool
-from repro.runtime.provision import materialise_payload, ship_compiled
+from repro.runtime.provision import pack_device, ship_compiled
 
 #: The cross-challenge vectorised solver: edge-array batched Dinic
 #: (see :mod:`repro.flow.batched_dinic`).
@@ -213,7 +213,7 @@ class BatchEvaluator:
                     workers_used,
                     initializer=_worker_init,
                     initargs=(
-                        shipped.payload,
+                        shipped.path,
                         shipped.device_id,
                         self.engine,
                         self.algorithm,
@@ -378,11 +378,11 @@ class BatchEvaluator:
 _WORKER_EVALUATOR: Optional[BatchEvaluator] = None
 
 
-def _worker_init(payload, device_id, engine, algorithm, chunk_size):
+def _worker_init(path, device_id, engine, algorithm, chunk_size):
     global _WORKER_EVALUATOR
     # The worker maps the shipped pack once; the mapping outlives the
     # producer's unlink for the worker's lifetime.
-    device = materialise_payload(payload, device_id)
+    device = pack_device(path, device_id)
     _WORKER_EVALUATOR = BatchEvaluator(
         device,
         engine=engine,

@@ -8,12 +8,13 @@ on this layer instead of hand-rolling executors:
 
 * :mod:`repro.runtime.pool` — :class:`WorkerPool`: supervised
   process/thread pool with bounded queues, per-task timeouts,
-  crash-restart supervision and graceful drain.
+  crash-restart supervision and an in-flight gauge for graceful stops.
 * :mod:`repro.runtime.provision` — worker-side artifact provisioning:
-  every device reaches a worker as a slice of an mmap'd artifact pack.
+  every device reaches a worker as a pack path plus its id, which
+  :func:`pack_device` serves as a slice of the mmap'd artifact pack.
 * :mod:`repro.runtime.microbatch` — :class:`MicroBatcher`: generic
-  request coalescing (the service's claims) with typed failure
-  pass-through.
+  request coalescing (the auth server submits every claim to one) with
+  typed failure pass-through.
 * :mod:`repro.runtime.stats` — :class:`RuntimeStats`: pool telemetry on
   the :mod:`repro.metrics` spine, folded into ``SolveStats`` counters and
   ``STATS`` wire snapshots.
@@ -21,11 +22,7 @@ on this layer instead of hand-rolling executors:
 
 from repro.runtime.microbatch import MicroBatcher
 from repro.runtime.pool import WorkerPool
-from repro.runtime.provision import (
-    ShippedArtifact,
-    materialise_payload,
-    ship_compiled,
-)
+from repro.runtime.provision import ShippedArtifact, pack_device, ship_compiled
 from repro.runtime.stats import RuntimeStats
 
 __all__ = [
@@ -33,6 +30,6 @@ __all__ = [
     "RuntimeStats",
     "ShippedArtifact",
     "WorkerPool",
-    "materialise_payload",
+    "pack_device",
     "ship_compiled",
 ]

@@ -9,9 +9,10 @@ pays at most ``linger_seconds`` of extra latency in exchange for the
 fleet win: B requests per dispatch instead of one.
 
 :class:`MicroBatcher` is payload-agnostic — the dispatch callable decides
-what a batch *means*.  The service's
-:class:`~repro.service.server.ClaimMicroBatcher` dispatches claim batches
-to the verification pool.
+what a batch *means*.  The auth server
+(:class:`~repro.service.server.PpufAuthServer`) holds one whose dispatch
+runs each claim batch on its verification pool and whose ``on_dispatch``
+hook records batch occupancy in its ``ServerStats``.
 
 Failure semantics: a dispatch that raises fails every request in its
 batch — :class:`~repro.errors.ServiceTimeout` and

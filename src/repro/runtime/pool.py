@@ -249,15 +249,3 @@ class WorkerPool:
                 self.active -= 1
             self.stats.tasks_completed += 1
             return result
-
-    async def drain(self, timeout: float) -> bool:
-        """Wait up to ``timeout`` s for in-flight tasks to settle.
-
-        Returns ``True`` when :attr:`active` reached zero in time —
-        graceful-stop callers log (and proceed) on ``False`` rather than
-        hang on a wedged task.
-        """
-        deadline = asyncio.get_running_loop().time() + timeout
-        while self.active and asyncio.get_running_loop().time() < deadline:
-            await asyncio.sleep(0.01)
-        return self.active == 0

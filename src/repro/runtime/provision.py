@@ -1,12 +1,12 @@
 """Worker-side artifact provisioning: one format, one transport.
 
 A pool worker verifying claims or solving CRP chunks needs the device's
-compiled tables.  They always arrive the same way: as a ``("pack", path)``
-reference to an mmap'd :class:`~repro.ppuf.pack.ArtifactPack` plus the
-device id.  The worker maps each pack once and every device after that is
-an index lookup plus a row slice; every process mapping the same pack
-shares its pages through the OS page cache, so the artifact bytes exist
-once per machine, not once per worker.
+compiled tables.  They always arrive the same way: as the path of an
+mmap'd :class:`~repro.ppuf.pack.ArtifactPack` plus the device id, which
+:func:`pack_device` resolves.  The worker maps each pack once and every
+device after that is an index lookup plus a row slice; every process
+mapping the same pack shares its pages through the OS page cache, so the
+artifact bytes exist once per machine, not once per worker.
 
 The packs a worker sees are the service's fleet pack, the registry's
 private enrollment pack (see :class:`~repro.service.registry.DeviceRegistry`)
@@ -23,9 +23,6 @@ not be mirrored into every worker's memory.
 from __future__ import annotations
 
 import os
-from typing import Optional
-
-from repro.errors import ReproError
 
 #: Bound on each mapped pack's device LRU in a worker.  Small on purpose:
 #: a pool worker only needs the devices it is actively working on.  Read
@@ -37,7 +34,9 @@ WORKER_DEVICE_CACHE_SIZE = 32
 _WORKER_PACKS: dict = {}
 
 
-def _pack_device(path: str, device_id: str):
+def pack_device(path: str, device_id: str):
+    """Device ``device_id`` as zero-copy views into this process's mapping
+    of the pack at ``path`` (mapped on first use, served from its LRU)."""
     from repro.ppuf.pack import ArtifactPack
 
     pack = _WORKER_PACKS.get(path)
@@ -52,20 +51,6 @@ def _pack_device(path: str, device_id: str):
     return pack.device(device_id)
 
 
-def materialise_payload(payload, device_id: Optional[str] = None):
-    """Turn one worker transport payload into a live device.
-
-    The only transport is a ``("pack", path)`` reference; the device is
-    served as zero-copy views into this process's mapping of that pack.
-    """
-    if not (isinstance(payload, tuple) and len(payload) == 2 and payload[0] == "pack"):
-        kind = payload[0] if isinstance(payload, tuple) and payload else type(payload).__name__
-        raise ReproError(f"unknown worker payload kind {kind!r}")
-    if device_id is None:
-        raise ReproError("a pack payload needs the device id")
-    return _pack_device(payload[1], device_id)
-
-
 def clear_cache() -> None:
     """Drop every pack mapping (and with it every cached device; tests)."""
     _WORKER_PACKS.clear()
@@ -77,7 +62,7 @@ def clear_cache() -> None:
 class ShippedArtifact:
     """One device written to a temporary pack for pool fan-out.
 
-    ``payload`` and ``device_id`` are what the pool initializer receives
+    ``path`` and ``device_id`` are what the pool initializer receives
     (both picklable and tiny); :meth:`close` unlinks the temporary pack.
     Always ``close()`` after the pool is done — workers that still map
     the pack keep their pages until they exit.
@@ -86,10 +71,6 @@ class ShippedArtifact:
     def __init__(self, path: str, device_id: str):
         self.path = path
         self.device_id = device_id
-
-    @property
-    def payload(self) -> tuple:
-        return ("pack", self.path)
 
     def close(self) -> None:
         try:

@@ -21,7 +21,7 @@ from repro.service.client import (
 from repro.service.faults import FaultPlan, FaultyTransport
 from repro.service.registry import DeviceRegistry, device_id_for
 from repro.service.resilience import DEFAULT_TIMEOUT, RetryPolicy
-from repro.service.server import PpufAuthServer, VerificationPool
+from repro.service.server import PpufAuthServer
 from repro.service.sessions import (
     ReplayRejected,
     Session,
@@ -45,7 +45,6 @@ __all__ = [
     "DEFAULT_TIMEOUT",
     "RetryPolicy",
     "PpufAuthServer",
-    "VerificationPool",
     "Session",
     "SessionManager",
     "SessionExpired",

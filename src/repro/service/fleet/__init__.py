@@ -31,12 +31,8 @@ from repro.service.fleet.mapfile import (
     decode_shard_map,
     encode_shard_map,
 )
-from repro.service.fleet.router import FleetRouter, RouterStats
-from repro.service.fleet.supervisor import (
-    FleetSupervisor,
-    ShardWorkerSpec,
-    probe_stats,
-)
+from repro.service.fleet.router import FleetRouter, RouterStats, probe_stats
+from repro.service.fleet.supervisor import FleetSupervisor, ShardWorkerSpec
 from repro.service.fleet.topology import (
     ACTIVE,
     DOWN,

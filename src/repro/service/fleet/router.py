@@ -64,6 +64,35 @@ SPLICE_CHUNK_BYTES = 64 * 1024
 ROUTABLE_TYPES = frozenset({wire.ENROLL, wire.HELLO})
 
 
+async def probe_stats(host: str, port: int, *, timeout: float = 5.0) -> dict:
+    """One wire ``STATS`` round trip to a shard; raises on anything unhealthy.
+
+    The router's ``STATS`` fan-out and the supervisor's health checks both
+    probe through it.  A reply counts only if it is a ``STATS`` frame
+    whose ``stats`` is a dict.
+    """
+    reader, writer = await asyncio.wait_for(
+        asyncio.open_connection(host, port, limit=wire.MAX_LINE_BYTES),
+        timeout=timeout,
+    )
+    try:
+        await wire.write_message(writer, {"type": wire.STATS})
+        reply = await wire.read_message(reader, timeout=timeout)
+    finally:
+        writer.close()
+        try:
+            await writer.wait_closed()
+        except (ConnectionResetError, BrokenPipeError):
+            pass
+    if (
+        reply is None
+        or reply.get("type") != wire.STATS
+        or not isinstance(reply.get("stats"), dict)
+    ):
+        raise ServiceError(f"unhealthy stats reply: {reply!r}")
+    return reply["stats"]
+
+
 @dataclass
 class RouterStats(Metrics):
     """The router's own counters (shard counters live on the shards)."""
@@ -427,35 +456,14 @@ class FleetRouter:
             entry["error"] = "not bound yet (awaiting supervisor spawn)"
             return entry
         try:
-            reader, writer = await asyncio.wait_for(
-                asyncio.open_connection(
-                    shard.host, shard.port, limit=wire.MAX_LINE_BYTES
-                ),
-                timeout=self.stats_timeout,
+            entry["stats"] = await probe_stats(
+                shard.host, shard.port, timeout=self.stats_timeout
             )
-        except (OSError, asyncio.TimeoutError) as error:
-            entry["error"] = f"unreachable: {error}"
+        except (ServiceError, OSError, asyncio.TimeoutError) as error:
+            # str(TimeoutError()) is empty: an unhealthy entry always says why.
+            entry["error"] = str(error) or type(error).__name__
             return entry
-        try:
-            await wire.write_message(writer, {"type": wire.STATS})
-            reply = await wire.read_message(reader, timeout=self.stats_timeout)
-            if (
-                reply is None
-                or reply.get("type") != wire.STATS
-                or not isinstance(reply.get("stats"), dict)
-            ):
-                entry["error"] = f"bad stats reply: {reply!r}"
-                return entry
-            entry["healthy"] = True
-            entry["stats"] = reply["stats"]
-        except (ServiceError, ConnectionResetError, BrokenPipeError) as error:
-            entry["error"] = str(error)
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
+        entry["healthy"] = True
         return entry
 
     async def _fleet_stats(self) -> dict:

@@ -58,8 +58,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Union
 
 from repro.errors import ServiceError
-from repro.service import wire
 from repro.service.fleet.mapfile import ShardMapFile
+from repro.service.fleet.router import probe_stats
 from repro.service.fleet.topology import (
     ACTIVE,
     DOWN,
@@ -165,30 +165,6 @@ def _worker_env() -> dict:
         package_root + os.pathsep + existing if existing else package_root
     )
     return env
-
-
-async def probe_stats(host: str, port: int, *, timeout: float = 5.0) -> dict:
-    """One wire ``STATS`` round trip; raises on anything unhealthy."""
-    reader, writer = await asyncio.wait_for(
-        asyncio.open_connection(host, port, limit=wire.MAX_LINE_BYTES),
-        timeout=timeout,
-    )
-    try:
-        await wire.write_message(writer, {"type": wire.STATS})
-        reply = await wire.read_message(reader, timeout=timeout)
-    finally:
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-    if (
-        reply is None
-        or reply.get("type") != wire.STATS
-        or not isinstance(reply.get("stats"), dict)
-    ):
-        raise ServiceError(f"unhealthy stats reply: {reply!r}")
-    return reply["stats"]
 
 
 class FleetSupervisor:
@@ -432,54 +408,11 @@ class FleetSupervisor:
         self._record("stopped", worker, exit_code=process.returncode)
 
     # ------------------------------------------------------------------
-    # membership
+    # shard-map file: publishing and reconciliation
     # ------------------------------------------------------------------
     def _next_index(self) -> int:
         return 1 + max((worker.index for worker in self.workers.values()), default=-1)
 
-    async def add_shard(self) -> ShardDescriptor:
-        """Grow the fleet by one worker (rendezvous steals only its share)."""
-        name = f"shard-{len(self.workers)}"
-        while name in self.workers:  # names must stay unique across history
-            name = f"shard-{int(name.rsplit('-', 1)[1]) + 1}"
-        worker = ShardWorker(name=name, index=self._next_index())
-        self.workers[name] = worker
-        descriptor = await self._spawn(worker)
-        self._publish_descriptor(descriptor)
-        return descriptor
-
-    async def drain_shard(self, name: str) -> None:
-        """Start the graceful decommission of ``name`` (returns at once).
-
-        The full lifecycle runs in the background: mark ``draining`` (the
-        router stops pinning new sessions, splices in flight continue) →
-        poll STATS until the shard settles → delete it from the map →
-        SIGTERM its worker.  Idempotent while a drain is in progress.
-        """
-        worker = self.workers.get(name)
-        if worker is None:
-            raise ServiceError(f"unknown shard {name!r}")
-        if worker.draining:
-            return
-        self._set_state(name, DRAINING)
-        self._begin_drain(worker)
-
-    async def remove_shard(
-        self, name: str, *, grace_seconds: float = 10.0
-    ) -> None:
-        """Force-remove one shard *now* — no settle wait, sessions pinned
-        to it are cut.  Use :meth:`drain_shard` for the graceful path."""
-        worker = self.workers.get(name)
-        if worker is None:
-            raise ServiceError(f"unknown shard {name!r}")
-        if name in self.shard_map:
-            self.shard_map.drain(name)
-        self._delete_from_file(name)
-        await self._decommission(worker, grace_seconds=grace_seconds)
-
-    # ------------------------------------------------------------------
-    # shard-map file: publishing and reconciliation
-    # ------------------------------------------------------------------
     def _publish_descriptor(self, descriptor: ShardDescriptor) -> None:
         """Upsert ``descriptor`` into the in-process map and the file."""
         if descriptor.name in self.shard_map:
@@ -515,9 +448,6 @@ class FleetSupervisor:
             pass
 
     def _delete_from_file(self, name: str) -> None:
-        if self.map_file is None:
-            return
-
         def _drop(shard_map: ShardMap) -> None:
             if name not in shard_map:
                 raise _NoChange()
@@ -609,10 +539,10 @@ class FleetSupervisor:
     async def _drain_to_removal(self, worker: ShardWorker) -> None:
         """Poll STATS until the shard settles, then delete it from the map.
 
-        With a map file the deletion is published there and the watch
-        task's reconcile performs the actual decommission — so every
-        participant (other routers, the shard's own supervisor if it is
-        remote) observes the same removal in the same version order.
+        The deletion is published in the map file and the watch task's
+        reconcile performs the actual decommission — so every participant
+        (other routers, the shard's own supervisor if it is remote)
+        observes the same removal in the same version order.
         """
         previous: Optional[dict] = None
         while True:
@@ -628,12 +558,8 @@ class FleetSupervisor:
             await asyncio.sleep(self.probe_interval)
         self._record("settled", worker)
         self._delete_from_file(worker.name)
-        if self.map_file is None:
-            await self._decommission(worker)
 
-    async def _decommission(
-        self, worker: ShardWorker, *, grace_seconds: float = 10.0
-    ) -> None:
+    async def _decommission(self, worker: ShardWorker) -> None:
         """Tear one shard out of this supervisor's world (map already knows)."""
         if worker.drain_task is not None and worker.drain_task is not asyncio.current_task():
             worker.drain_task.cancel()
@@ -641,7 +567,7 @@ class FleetSupervisor:
         if worker.remote:
             self._record("released", worker)  # not ours to SIGTERM
         else:
-            await self._stop_worker(worker, grace_seconds=grace_seconds)
+            await self._stop_worker(worker, grace_seconds=10.0)
         self.workers.pop(worker.name, None)
         if worker.name in self.shard_map:
             self.shard_map.remove(worker.name)
@@ -676,8 +602,6 @@ class FleetSupervisor:
                     exit_code=worker.process.returncode if worker.process else None,
                 )
                 self._delete_from_file(worker.name)
-                if self.map_file is None:
-                    await self._decommission(worker)
             return
         if not worker.alive:
             self._record(

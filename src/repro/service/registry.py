@@ -203,17 +203,17 @@ class DeviceRegistry:
         with self._enrollment_lock:
             return self._enrolled_record(device_id).device(device_id)
 
-    def artifact_payload(self, device_id: str) -> tuple:
-        """The ``("pack", path)`` reference a worker resolves ``device_id`` in.
+    def artifact_payload(self, device_id: str) -> str:
+        """The path of the pack a worker resolves ``device_id`` in.
 
         A fleet-pack device needs no work; any other enrolled device is
         compiled into the enrollment pack first (call this off the event
         loop).
         """
         if self.pack is not None and device_id in self.pack:
-            return ("pack", self.pack.path)
+            return self.pack.path
         with self._enrollment_lock:
-            return ("pack", self._enrolled_record(device_id).path)
+            return self._enrolled_record(device_id).path
 
     def _enrolled_record(self, device_id: str) -> _EnrollmentPack:
         """The enrollment pack, holding ``device_id`` (compiled on a miss).

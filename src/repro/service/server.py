@@ -16,15 +16,18 @@ mid-claim is contained the same way a worker exception is: the pool
 restarts itself and the claim gets an ``infeasible`` verdict
 (crash-to-verdict) instead of killing the connection.
 
-Claim micro-batching: concurrent claims coalesce in a
-:class:`ClaimMicroBatcher` (bounded batch size plus a small linger) and
+Claim micro-batching: every claim is submitted to the server's
+:class:`~repro.runtime.microbatch.MicroBatcher` (bounded batch size plus
+a small linger); concurrent claims coalesce into one pool dispatch and
 are verified as one lockstep pass over ``(B, E)`` edge arrays —
 :func:`repro.ppuf.verification.verify_compact_claims` on the shared CSR
 topology — before the per-claim verdicts are split back out.  Under load
 this turns B pool round trips into one; a lone claim pays at most the
 linger (2 ms by default).  Because no arithmetic in the batched verifier
 couples claims, a verdict is bit-identical whether the claim rode solo or
-coalesced, and one poisoned claim can only reject itself.
+coalesced, and one poisoned claim can only reject itself.  A batch that
+fails as a whole (timeout aside) rejects each of its claims as a worker
+fault.
 
 Fault containment (the resilience layer): the server treats every remote
 input and every internal worker as hostile or broken until proven
@@ -46,15 +49,14 @@ from collections import OrderedDict
 from typing import Optional
 
 from repro.circuit.ptm32 import OperatingConditions, Technology
-from repro.errors import ServiceError, ServiceTimeout, VerificationError, WorkerCrash
-from repro.flow.graph import DEFAULT_RTOL
+from repro.errors import ServiceError, ServiceTimeout, VerificationError
 from repro.ppuf.challenge import ChallengeSpace
 from repro.ppuf.crossbar import Crossbar
 from repro.ppuf.delay import lin_mead_delay_bound
 from repro.ppuf.verification import verify_compact_claims
 from repro.runtime.microbatch import MicroBatcher
 from repro.runtime.pool import WorkerPool
-from repro.runtime.provision import materialise_payload
+from repro.runtime.provision import pack_device
 from repro.service import wire
 from repro.service.registry import DeviceRegistry
 from repro.service.sessions import ReplayRejected, Session, SessionManager
@@ -67,10 +69,10 @@ logger = logging.getLogger(__name__)
 PAPER_DEADLINE_SLACK = 100.0
 
 
-def _verify_claims_task(jobs, rtol: float) -> list:
+def _verify_claims_task(jobs) -> list:
     """Verify one coalesced claim batch; runs inside a pool worker.
 
-    ``jobs`` is a list of ``(device_id, payload, network, claim_wire)``
+    ``jobs`` is a list of ``(device_id, pack_path, network, claim_wire)``
     tuples.  Claims are grouped per ``(device, network)`` and each group
     runs through :func:`repro.ppuf.verification.verify_compact_claims` —
     one lockstep pass over ``(B, E)`` edge arrays.  Per-claim arithmetic in
@@ -96,7 +98,7 @@ def _verify_claims_task(jobs, rtol: float) -> list:
         groups.setdefault((device_id, network), []).append(index)
     for (device_id, network), indices in groups.items():
         try:
-            net = materialise_payload(jobs[indices[0]][1], device_id).network(network)
+            net = pack_device(jobs[indices[0]][1], device_id).network(network)
         except (VerificationError, ServiceError):
             for index in indices:
                 results[index] = (False, "infeasible", None)
@@ -120,7 +122,7 @@ def _verify_claims_task(jobs, rtol: float) -> list:
         if not rows:
             continue
         try:
-            verdicts = verify_compact_claims(net, claims, rtol=rtol)
+            verdicts = verify_compact_claims(net, claims)
         except Exception as error:  # noqa: BLE001 — a verifier bug rejects
             fault = f"{type(error).__name__}: {error}"
             for index in rows:
@@ -133,119 +135,6 @@ def _verify_claims_task(jobs, rtol: float) -> list:
         (accepted, reason, share, fault)
         for accepted, reason, fault in results
     ]
-
-
-class VerificationPool:
-    """The service face of :class:`~repro.runtime.pool.WorkerPool` for
-    :func:`_verify_claims_task`.
-
-    ``timeout`` cuts off any single verification: a claim that wedges a
-    worker raises :class:`ServiceTimeout` to the caller instead of holding
-    its connection (and an admission slot) forever.  ``active`` counts
-    in-flight verifications so :meth:`PpufAuthServer.stop` can drain.  A
-    worker process dying raises :class:`~repro.errors.WorkerCrash` (the
-    runtime pool restarts itself first); the server contains it into a
-    rejected verdict.
-    """
-
-    def __init__(
-        self,
-        workers: int = 0,
-        *,
-        max_pending: Optional[int] = None,
-        timeout: Optional[float] = None,
-    ):
-        if timeout is not None and timeout <= 0:
-            raise ServiceError(f"verify timeout must be positive, got {timeout}")
-        self.workers = workers
-        self.runtime = WorkerPool(
-            workers,
-            max_pending=max_pending,
-            task_timeout=timeout,
-            task_name="verification",
-        )
-
-    @property
-    def timeout(self) -> Optional[float]:
-        return self.runtime.task_timeout
-
-    @property
-    def active(self) -> int:
-        return self.runtime.active
-
-    async def verify_batch(self, jobs: list, rtol: float) -> list:
-        """Run :func:`_verify_claims_task` off-loop for a coalesced batch.
-
-        One admission slot and one executor dispatch cover the whole
-        batch — that is the micro-batching win: B claims pay one pool
-        round trip.  ``timeout`` bounds the batch as a unit; a blown
-        deadline raises :class:`ServiceTimeout` for every claim in it.
-        ``_verify_claims_task`` resolves as a module global at call time,
-        so tests can swap the task function.
-        """
-        return await self.runtime.run(_verify_claims_task, list(jobs), rtol)
-
-    def shutdown(self) -> None:
-        self.runtime.shutdown(wait=False, cancel_futures=True)
-
-
-class ClaimMicroBatcher(MicroBatcher):
-    """Coalesces concurrent claim verifications into pool batches.
-
-    The service face of :class:`~repro.runtime.microbatch.MicroBatcher`:
-    every claim that arrives while a batch is forming joins it; the batch
-    is dispatched when it reaches ``batch_size`` or when the oldest claim
-    has lingered ``linger_seconds`` — whichever comes first.  Under load
-    (many concurrent sessions) batches fill instantly and the linger never
-    applies; a lone claim pays at most ``linger_seconds`` of extra latency
-    (2 ms by default, far below a secure-size verify) in exchange for the
-    fleet win: B claims per pool round trip instead of one.
-
-    Verdicts are split back out per claim and are bit-identical to solo
-    verification — :func:`repro.ppuf.verification.verify_compact_claims`
-    never lets one claim's arithmetic (or failure) touch another's.  A
-    dispatch that fails fails only its own batch: :class:`ServiceTimeout`
-    and :class:`~repro.errors.WorkerCrash` reach each claim typed (the
-    claim handler contains them), anything else as :class:`ServiceError`.
-    """
-
-    def __init__(
-        self,
-        pool: VerificationPool,
-        stats: Optional["ServerStats"] = None,
-        *,
-        rtol: float = DEFAULT_RTOL,
-        batch_size: int = 16,
-        linger_seconds: float = 0.002,
-    ):
-        super().__init__(
-            self._verify_jobs,
-            batch_size=batch_size,
-            linger_seconds=linger_seconds,
-            on_dispatch=self._record_batch,
-        )
-        self.pool = pool
-        self.stats = stats
-        self.rtol = rtol
-
-    async def _verify_jobs(self, jobs: list) -> list:
-        return await self.pool.verify_batch(jobs, self.rtol)
-
-    def _record_batch(self, size: int) -> None:
-        stats = self.stats
-        if stats is not None:
-            stats.claim_batches += 1
-            stats.claims_batched += size
-            occupancy = stats.claim_batch_occupancy
-            key = str(size)
-            occupancy[key] = occupancy.get(key, 0) + 1
-
-    async def verify(
-        self, device_id: str, payload, network: str, claim_wire: dict
-    ) -> tuple:
-        """Queue one claim; resolves to its ``(accepted, reason, seconds,
-        fault)`` tuple once its batch returns."""
-        return await self.submit((device_id, payload, network, claim_wire))
 
 
 class PpufAuthServer:
@@ -264,8 +153,6 @@ class PpufAuthServer:
     workers:
         Verification processes; ``0`` verifies in the default thread
         executor (cheap devices / tests).
-    rtol:
-        Claim-value tolerance forwarded to the batched claim verifier.
     allow_enroll:
         Accept ``enroll`` messages over the wire (disable for a
         pre-provisioned fleet).
@@ -307,7 +194,6 @@ class PpufAuthServer:
         idle_timeout: float = 60.0,
         rounds: int = 4,
         workers: int = 0,
-        rtol: float = DEFAULT_RTOL,
         seed: Optional[int] = None,
         allow_enroll: bool = True,
         claim_batch_size: int = 16,
@@ -336,14 +222,15 @@ class PpufAuthServer:
             seed=seed,
             max_sessions=max_sessions,
         )
-        self.pool = VerificationPool(workers, timeout=verify_timeout)
-        self.stats = ServerStats(runtime=self.pool.runtime.stats)
-        self.batcher = ClaimMicroBatcher(
-            self.pool,
-            self.stats,
-            rtol=rtol,
+        self.pool = WorkerPool(
+            workers, task_timeout=verify_timeout, task_name="verification"
+        )
+        self.stats = ServerStats(runtime=self.pool.stats)
+        self.batcher = MicroBatcher(
+            self._verify_batch,
             batch_size=claim_batch_size,
             linger_seconds=claim_batch_linger,
+            on_dispatch=self.stats.observe_batch,
         )
         self._connections = 0
         self._server: Optional[asyncio.base_events.Server] = None
@@ -377,7 +264,7 @@ class PpufAuthServer:
             except asyncio.CancelledError:
                 pass
             self._sweeper = None
-        self.pool.shutdown()
+        self.pool.shutdown(wait=False, cancel_futures=True)
         self.registry.close()
 
     async def _drain_verifications(self) -> None:
@@ -605,23 +492,25 @@ class PpufAuthServer:
         if claim_wire.get("challenge") != challenged:
             return self._verdict(session, False, "wrong_challenge", elapsed)
 
-        payload = await self._device_payload(session.device_id)
+        pack_path = await self._device_payload(session.device_id)
         try:
-            accepted, reason, verify_seconds, fault = await self.batcher.verify(
-                session.device_id, payload, session.network, claim_wire
+            accepted, reason, verify_seconds, fault = await self.batcher.submit(
+                (session.device_id, pack_path, session.network, claim_wire)
             )
         except ServiceTimeout:
             self.stats.verify_timeouts += 1
             logger.warning(
                 "verification of session %s timed out after %g s",
                 session.session_id,
-                self.pool.timeout,
+                self.pool.task_timeout,
             )
             return self._verdict(session, False, "verify_timeout", elapsed)
-        except WorkerCrash as error:
-            # Crash-to-verdict: the runtime pool already restarted its
-            # executor, so the next claim runs on a healthy worker; this
-            # claim's work is gone and is rejected like any worker fault.
+        except ServiceError as error:
+            # The claim's whole batch failed: a worker process died (the
+            # runtime pool already restarted its executor, so the next
+            # claim runs on a healthy worker) or the dispatch itself
+            # failed.  The claim's work is gone; it is rejected like any
+            # worker fault and its session closes.
             accepted, reason, verify_seconds = False, "infeasible", 0.0
             fault = f"{type(error).__name__}: {error}"
         if fault is not None:
@@ -648,8 +537,19 @@ class PpufAuthServer:
             "rounds_run": session.rounds_total,
         }
 
-    async def _device_payload(self, device_id: str):
-        """The ``("pack", path)`` reference handed to verification workers.
+    async def _verify_batch(self, jobs: list) -> list:
+        """Run :func:`_verify_claims_task` off-loop for a coalesced batch.
+
+        One admission slot and one executor dispatch cover the whole
+        batch — that is the micro-batching win: B claims pay one pool
+        round trip.  The pool's ``task_timeout`` bounds the batch as a
+        unit.  ``_verify_claims_task`` resolves as a module global at
+        call time, so tests can swap the task function.
+        """
+        return await self.pool.run(_verify_claims_task, jobs)
+
+    async def _device_payload(self, device_id: str) -> str:
+        """The path of the pack verification workers find ``device_id`` in.
 
         Each worker resolves it against its own long-lived mapping of the
         pack, so the claim's verify is an index lookup + row slice with no
@@ -660,7 +560,7 @@ class PpufAuthServer:
         """
         pack = self.registry.pack
         if pack is not None and device_id in pack:
-            return ("pack", pack.path)
+            return pack.path
         loop = asyncio.get_running_loop()
         return await loop.run_in_executor(
             None, self.registry.artifact_payload, device_id

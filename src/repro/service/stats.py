@@ -100,6 +100,14 @@ class ServerStats(Metrics):
     #: the verification pool's own record, shared with the pool
     runtime: RuntimeStats = field(default_factory=RuntimeStats)
 
+    def observe_batch(self, size: int) -> None:
+        """Record one claim batch of ``size`` claims dispatched to the pool
+        (the server's micro-batcher calls this once per dispatch)."""
+        self.claim_batches += 1
+        self.claims_batched += size
+        key = str(size)
+        self.claim_batch_occupancy[key] = self.claim_batch_occupancy.get(key, 0) + 1
+
     def observe_verify(self, algorithm, seconds: float) -> None:
         """Record one claim verification: count, overall and per-algorithm.
 

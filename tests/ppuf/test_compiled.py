@@ -19,7 +19,7 @@ from repro.ppuf.formats import FORMAT_VERSION
 from repro.ppuf.io import load_crps, load_ppuf, ppuf_from_dict, ppuf_to_dict
 from repro.ppuf.pack import PACK_MAGIC, ArtifactPack, build_pack
 from repro.runtime import provision
-from repro.runtime.provision import materialise_payload, ship_compiled
+from repro.runtime.provision import pack_device, ship_compiled
 
 
 @pytest.fixture(scope="module")
@@ -150,7 +150,7 @@ class TestSharedMemory:
     def test_attached_arrays_map_the_block(self, capacity_only):
         shipped = ship_compiled(capacity_only)
         try:
-            attached = materialise_payload(shipped.payload, shipped.device_id)
+            attached = pack_device(shipped.path, shipped.device_id)
             block = provision._WORKER_PACKS[shipped.path]._data
             # Mapped, not copied: the attached tables alias the mapping.
             assert np.shares_memory(attached.cap0, block)
@@ -163,7 +163,7 @@ class TestSharedMemory:
     def test_attached_device_answers_identically(self, tiny_ppuf, capacity_only):
         shipped = ship_compiled(capacity_only)
         try:
-            attached = materialise_payload(shipped.payload, shipped.device_id)
+            attached = pack_device(shipped.path, shipped.device_id)
             challenges = challenges_for(tiny_ppuf, 16, seed=10)
             assert np.array_equal(
                 attached.response_bits(challenges),

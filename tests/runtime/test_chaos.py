@@ -48,7 +48,7 @@ class TestWorkerKilledMidBatch:
                     # it; the claim submitted next queues behind it and
                     # dies with the worker.
                     killer = asyncio.ensure_future(
-                        server.pool.runtime.run(_occupy_then_die, 0.75)
+                        server.pool.run(_occupy_then_die, 0.75)
                     )
                     await asyncio.sleep(0.05)
                     crashed = await client.authenticate(device)
@@ -57,7 +57,7 @@ class TestWorkerKilledMidBatch:
                     # The pool restarted underneath: the next session
                     # verifies on a fresh worker, same connection.
                     recovered = await client.authenticate(device)
-                    runtime_stats = server.pool.runtime.stats
+                    runtime_stats = server.pool.stats
                 return warm, crashed, recovered, server.stats, runtime_stats
 
         warm, crashed, recovered, stats, runtime_stats = asyncio.run(go())

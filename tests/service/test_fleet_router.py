@@ -16,7 +16,8 @@ from repro.ppuf import Ppuf
 from repro.ppuf.io import ppuf_to_dict
 from repro.service import PpufAuthServer, ServiceClient, wire
 from repro.service.fleet import FleetRouter, ShardDescriptor, ShardMap
-from repro.service.fleet.supervisor import probe_stats
+from repro.service.fleet import router as router_module
+from repro.service.fleet.router import probe_stats
 from repro.service.registry import device_id_for
 from repro.service.stats import ServerStats
 
@@ -279,6 +280,17 @@ class TestUnmergeableShardContained:
 
         with pytest.raises(ServiceError, match="unhealthy stats reply"):
             run(go())
+
+    def test_timed_out_probe_still_names_a_reason(self, monkeypatch):
+        # str(TimeoutError()) is empty; an unhealthy entry must say why.
+        async def timed_out(*args, **kwargs):
+            raise asyncio.TimeoutError()
+
+        monkeypatch.setattr(router_module, "probe_stats", timed_out)
+        router = FleetRouter(ShardMap())
+        entry = run(router._shard_snapshot(ShardDescriptor(name="shard-0", port=1)))
+        assert entry["healthy"] is False
+        assert "TimeoutError" in entry["error"]
 
 
 class TestRouterFailureModes:

@@ -16,7 +16,7 @@ import pytest
 
 from repro.errors import ServiceError
 from repro.ppuf import Ppuf
-from repro.service import PpufAuthServer, ServiceClient, VerificationPool
+from repro.service import PpufAuthServer, ServiceClient
 from repro.runtime import provision as provision_module
 from repro.service import server as server_module
 from repro.service.sessions import SessionLimitExceeded, SessionManager
@@ -135,7 +135,7 @@ class TestWorkerFaultContainment:
             "value": 10**400,  # float() of this raises OverflowError
         }
         [(accepted, reason, seconds, fault)] = server_module._verify_claims_task(
-            [(artifact.device_id, ("pack", pack_path), "a", claim_wire)], 1e-9
+            [(artifact.device_id, pack_path, "a", claim_wire)]
         )
         assert (accepted, reason) == (False, "infeasible")
         assert seconds >= 0
@@ -164,6 +164,33 @@ class TestWorkerFaultContainment:
         outcome, stats = run(go())
         assert not outcome.accepted and outcome.reason == "infeasible"
         assert stats["worker_faults"] == 0
+
+    def test_failed_batch_is_a_worker_fault_not_a_client_error(
+        self, device, monkeypatch
+    ):
+        """Regression: a batch that failed as a whole (here a wrong-length
+        result) reached the client as an ERROR, was counted as a protocol
+        error, and left its session open in ``verifying``."""
+
+        def empty_batch(jobs):
+            return []
+
+        monkeypatch.setattr(server_module, "_verify_claims_task", empty_batch)
+
+        async def go():
+            async with PpufAuthServer(workers=0, rounds=1, seed=5) as server:
+                async with ServiceClient("127.0.0.1", server.port) as client:
+                    await client.enroll(device)
+                    outcome = await client.authenticate(device)
+                    stats = await client.stats()
+            return outcome, stats
+
+        outcome, stats = run(go())
+        assert not outcome.accepted and outcome.reason == "infeasible"
+        assert stats["protocol_errors"] == 0
+        assert stats["worker_faults"] == 1
+        assert stats["sessions_rejected"] == 1
+        assert stats["active_sessions"] == 0
 
 
 class TestSweeperSurvival:
@@ -251,15 +278,14 @@ class TestWorkerDeviceCache:
         path = str(tmp_path / "fleet.pack")
         build_pack(path, artifacts)
         a, b, c = (artifact.device_id for artifact in artifacts)
-        payload = ("pack", path)
-        first = provision_module.materialise_payload(payload, a)
-        second = provision_module.materialise_payload(payload, b)
+        first = provision_module.pack_device(path, a)
+        second = provision_module.pack_device(path, b)
         # hit, bumps a
-        assert provision_module.materialise_payload(payload, a) is first
-        provision_module.materialise_payload(payload, c)  # evicts b (LRU)
+        assert provision_module.pack_device(path, a) is first
+        provision_module.pack_device(path, c)  # evicts b (LRU)
         assert list(provision_module._WORKER_PACKS[path]._cache) == [a, c]
         # rebuilt from the mapping, not served from the cache
-        assert provision_module.materialise_payload(payload, b) is not second
+        assert provision_module.pack_device(path, b) is not second
         provision_module.clear_cache()
 
 
@@ -356,7 +382,7 @@ class TestConnectionLimits:
 
 class TestVerifyTimeout:
     def test_wedged_verification_is_cut_off(self, device, monkeypatch):
-        def wedged_batch(jobs, rtol):
+        def wedged_batch(jobs):
             time.sleep(0.5)
             return [(True, "ok", 0.0, None) for _ in jobs]
 
@@ -380,7 +406,7 @@ class TestVerifyTimeout:
 
     def test_pool_validates_timeout(self):
         with pytest.raises(ServiceError):
-            VerificationPool(0, timeout=-1.0)
+            PpufAuthServer(verify_timeout=-1.0)
 
 
 class TestConnectionIdleTimeout:
@@ -411,7 +437,7 @@ class TestGracefulDrain:
     def test_stop_waits_for_inflight_verification(self, device, monkeypatch):
         completed = []
 
-        def slow_verify_batch(jobs, rtol):
+        def slow_verify_batch(jobs):
             time.sleep(0.3)
             completed.extend(job[0] for job in jobs)
             return [(True, "ok", 0.3, None) for _ in jobs]

@@ -1,11 +1,14 @@
-"""Claim micro-batching (ISSUE 8): verdicts are batch-composition invariant.
+"""Claim micro-batching: verdicts are batch-composition invariant.
 
-The contract the server's :class:`ClaimMicroBatcher` rests on: verifying a
-claim coalesced with 1..K strangers yields a verdict *bit-identical* to
+The contract the server's claim batcher rests on: verifying a claim
+coalesced with 1..K strangers yields a verdict *bit-identical* to
 verifying it alone — including when a neighbouring claim is poisoned and
 dies with a worker fault.  The property is exercised at three layers: the
-pure :func:`verify_compact_claims` verifier, the batcher's asyncio
-machinery, and the full loopback server under concurrent sessions.
+pure :func:`verify_compact_claims` verifier, the batch accounting the
+server's :class:`~repro.runtime.microbatch.MicroBatcher` feeds into
+``ServerStats``, and the full loopback server under concurrent sessions.
+The batcher's own coalescing, linger, flush and failure semantics are
+pinned in ``tests/runtime/test_microbatch.py``.
 """
 
 import asyncio
@@ -14,7 +17,6 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.errors import ServiceError, ServiceTimeout
 from repro.flow.decomposition import PathFlow
 from repro.metrics import merge
 from repro.ppuf import Ppuf
@@ -24,8 +26,8 @@ from repro.ppuf.verification import (
     PpufVerifier,
     verify_compact_claims,
 )
+from repro.runtime.microbatch import MicroBatcher
 from repro.service import PpufAuthServer, ServiceClient
-from repro.service.server import ClaimMicroBatcher
 from repro.service.stats import ServerStats
 
 
@@ -111,33 +113,29 @@ class TestCompositionInvariance:
             assert verdict.accepted == verifier.verify_compact(claim)
 
 
-class FakePool:
-    """Records dispatched batches; resolves with a canned per-claim result."""
-
-    def __init__(self, error=None):
-        self.batches = []
-        self.error = error
-
-    async def verify_batch(self, jobs, rtol):
-        self.batches.append(list(jobs))
-        if self.error is not None:
-            raise self.error
-        return [(True, "ok", 0.0, None) for _ in jobs]
+async def verified(jobs):
+    """Stand-in pool dispatch: every claim in the batch verifies."""
+    return [(True, "ok", 0.0, None) for _ in jobs]
 
 
 def claim_job(index):
-    return (f"device-{index}", None, "a", {"claim": index})
+    return (f"device-{index}", "fleet.pack", "a", {"claim": index})
 
 
-class TestClaimMicroBatcher:
+class TestBatchAccounting:
+    """The server's batcher records each dispatch in ``ServerStats``."""
+
     def test_full_batch_dispatches_immediately(self):
         async def go():
             stats = ServerStats()
-            batcher = ClaimMicroBatcher(
-                FakePool(), stats, batch_size=4, linger_seconds=60.0
+            batcher = MicroBatcher(
+                verified,
+                batch_size=4,
+                linger_seconds=60.0,
+                on_dispatch=stats.observe_batch,
             )
             results = await asyncio.gather(
-                *(batcher.verify(*claim_job(i)) for i in range(4))
+                *(batcher.submit(claim_job(i)) for i in range(4))
             )
             return stats, results, batcher
 
@@ -151,65 +149,30 @@ class TestClaimMicroBatcher:
     def test_lone_claim_pays_only_the_linger(self):
         async def go():
             stats = ServerStats()
-            pool = FakePool()
-            batcher = ClaimMicroBatcher(
-                pool, stats, batch_size=16, linger_seconds=0.005
+            batches = []
+
+            async def dispatch(jobs):
+                batches.append(list(jobs))
+                return await verified(jobs)
+
+            batcher = MicroBatcher(
+                dispatch,
+                batch_size=16,
+                linger_seconds=0.005,
+                on_dispatch=stats.observe_batch,
             )
             loop = asyncio.get_running_loop()
             start = loop.time()
             result = await asyncio.wait_for(
-                batcher.verify(*claim_job(0)), timeout=2.0
+                batcher.submit(claim_job(0)), timeout=2.0
             )
-            return stats, result, loop.time() - start, pool
+            return stats, result, loop.time() - start, batches
 
-        stats, result, elapsed, pool = asyncio.run(go())
+        stats, result, elapsed, batches = asyncio.run(go())
         assert result == (True, "ok", 0.0, None)
         assert stats.claim_batch_occupancy == {"1": 1}
-        assert len(pool.batches) == 1
+        assert len(batches) == 1
         assert elapsed < 1.0  # linger-bounded, not stuck until batch_size
-
-    def test_flush_drains_a_forming_batch(self):
-        async def go():
-            batcher = ClaimMicroBatcher(FakePool(), batch_size=16, linger_seconds=60.0)
-            waiters = [
-                asyncio.ensure_future(batcher.verify(*claim_job(i)))
-                for i in range(3)
-            ]
-            await asyncio.sleep(0)  # let the claims enqueue
-            assert batcher.busy
-            batcher.flush()
-            results = await asyncio.wait_for(asyncio.gather(*waiters), timeout=2.0)
-            return results, batcher
-
-        results, batcher = asyncio.run(go())
-        assert len(results) == 3
-        assert not batcher.busy
-
-    @pytest.mark.parametrize(
-        "raised,expected",
-        [(ServiceTimeout("pool wedged"), ServiceTimeout), (RuntimeError("boom"), ServiceError)],
-        ids=["timeout", "fault"],
-    )
-    def test_pool_failures_fail_every_claim_distinctly(self, raised, expected):
-        async def go():
-            batcher = ClaimMicroBatcher(
-                FakePool(error=raised), batch_size=2, linger_seconds=60.0
-            )
-            return await asyncio.gather(
-                *(batcher.verify(*claim_job(i)) for i in range(2)),
-                return_exceptions=True,
-            )
-
-        results = asyncio.run(go())
-        assert len(results) == 2
-        for result in results:
-            assert isinstance(result, expected)
-
-    def test_rejects_degenerate_parameters(self):
-        with pytest.raises(ServiceError):
-            ClaimMicroBatcher(FakePool(), batch_size=0)
-        with pytest.raises(ServiceError):
-            ClaimMicroBatcher(FakePool(), linger_seconds=-1.0)
 
 
 class TestServerMicroBatchE2E:

@@ -86,8 +86,7 @@ class TestCompiledArtifacts:
 
         registry = DeviceRegistry()
         device_id = registry.enroll_ppuf(tiny_ppuf)
-        kind, path = registry.artifact_payload(device_id)
-        assert kind == "pack"
+        path = registry.artifact_payload(device_id)
         assert ArtifactPack(path).ids() == [device_id]
 
         other = Ppuf.create(6, 2, np.random.default_rng(34))
@@ -136,10 +135,10 @@ class TestCompiledArtifacts:
         device_id = registry.enroll_ppuf(tiny_ppuf)
         # The enrollment pack is scratch: once closed, the next cold miss
         # compiles into a new one.
-        _, lost = registry.artifact_payload(device_id)
+        lost = registry.artifact_payload(device_id)
         registry.close()
         assert not os.path.exists(lost)
-        _, path = registry.artifact_payload(device_id)
+        path = registry.artifact_payload(device_id)
         assert path != lost and os.path.exists(path)
         artifact = registry.compiled(device_id)
         challenges = tiny_ppuf.challenge_space().random_batch(8, rng)
@@ -155,7 +154,7 @@ class TestCompiledArtifacts:
         build_pack(pack_path, [tiny_ppuf.compile(include_circuit=False)])
         registry = DeviceRegistry(pack=pack_path)
         device_id = registry.enroll_ppuf(tiny_ppuf)
-        assert registry.artifact_payload(device_id) == ("pack", pack_path)
+        assert registry.artifact_payload(device_id) == pack_path
         assert registry._enrollment is None  # nothing compiled, nothing written
 
     def test_unknown_device_payload_raises(self):
@@ -186,7 +185,7 @@ class TestCompiledArtifacts:
         finally:
             sys.setswitchinterval(previous)
         try:
-            (_, path), = payloads
+            (path,) = payloads
             pack = ArtifactPack(path)
             assert pack.ids() == sorted(ids)
             assert os.path.getsize(path) == pack.stats()["data_end"]

@@ -11,7 +11,8 @@
 * ``solvers``    list the registered max-flow solvers and capabilities
 * ``protocol``   run a time-bounded authentication session against itself
 * ``serve``      host the networked authentication service (see
-  :mod:`repro.service`); ``--pack`` serves a packed fleet
+  :mod:`repro.service`); ``--pack`` names the registry pack it serves
+  and enrolls into
 * ``fleet``      scale it out: ``fleet serve`` runs N supervised shard
   servers behind one hash-sharding router, ``fleet stats`` merges
   fleet-wide telemetry, ``fleet load`` drives concurrent honest/hostile
@@ -276,7 +277,7 @@ def _command_serve(arguments) -> int:
 
     from repro.service import DeviceRegistry, PpufAuthServer
 
-    registry = DeviceRegistry(arguments.registry, pack=arguments.pack)
+    registry = DeviceRegistry(arguments.pack)
     for path in arguments.enroll:
         device_id = registry.enroll_ppuf(load_ppuf(path))
         print(f"enrolled {path} as {device_id[:16]}…", file=sys.stderr)
@@ -309,17 +310,13 @@ def _command_serve(arguments) -> int:
             f"({len(registry)} devices, {arguments.workers} verify workers)",
             file=sys.stderr,
         )
-        serve_task = asyncio.create_task(server.serve_forever())
-        stop_task = asyncio.create_task(stop_requested.wait())
         try:
-            await asyncio.wait(
-                {serve_task, stop_task}, return_when=asyncio.FIRST_COMPLETED
-            )
+            await stop_requested.wait()
         finally:
-            serve_task.cancel()
-            stop_task.cancel()
-            await asyncio.gather(serve_task, stop_task, return_exceptions=True)
-            await server.stop()  # drains in-flight verifications
+            # Not a cancelled serve_forever(): on Python 3.12+ its
+            # cancellation awaits wait_closed(), which blocks while any
+            # client stays connected.  stop() drains, then closes them.
+            await server.stop()
             print("server stopped", file=sys.stderr)
 
     try:
@@ -423,7 +420,6 @@ def _fleet_serve(arguments) -> int:
 
     spec = ShardWorkerSpec(
         pack=arguments.pack,
-        registry=arguments.registry,
         workers=arguments.workers,
         rounds=arguments.rounds,
         deadline_seconds=arguments.deadline,
@@ -835,15 +831,12 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=7341)
     serve.add_argument(
-        "--registry", default=None, help="directory of enrolled devices (persistent)"
-    )
-    serve.add_argument(
         "--pack",
         default=None,
         metavar="PACK",
-        help="serve a packed artifact fleet (from `repro pack build`); "
-        "verification slices the pack's mmap instead of loading per-device "
-        "files",
+        help="the device registry: an artifact pack (from `repro pack "
+        "build`, created when missing) that enrollments append to; without "
+        "it the registry is a scratch pack removed on exit",
     )
     serve.add_argument(
         "--enroll",
@@ -968,10 +961,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--pack",
         default=None,
         metavar="PACK",
-        help="packed artifact fleet every shard maps read-only",
-    )
-    fleet_serve.add_argument(
-        "--registry", default=None, help="device registry directory (shared)"
+        help="the fleet's device registry: an artifact pack every shard "
+        "serves and appends wire enrollments to",
     )
     fleet_serve.add_argument(
         "--workers", type=int, default=0, help="verification processes per shard"

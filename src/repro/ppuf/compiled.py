@@ -31,8 +31,8 @@ spine — :mod:`repro.ppuf.engines`,
 service verification workers — takes either.
 
 On disk and across processes the artifact travels in one container, the
-mmap'd :class:`~repro.ppuf.pack.ArtifactPack`: a fleet pack, a server's
-enrollment pack, or the temporary single-device pack
+mmap'd :class:`~repro.ppuf.pack.ArtifactPack`: a server's registry pack
+or the temporary single-device pack
 :func:`repro.runtime.provision.ship_compiled` hands to pool workers, who
 *map* the tables instead of receiving a pickled device.
 

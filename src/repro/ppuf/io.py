@@ -89,7 +89,7 @@ def ppuf_from_dict(data: dict) -> Ppuf:
             network_a=PpufNetwork(crossbar, sample(data["sample_a"]), tech, conditions),
             network_b=PpufNetwork(crossbar, sample(data["sample_b"]), tech, conditions),
         )
-    except (KeyError, TypeError) as error:
+    except (KeyError, TypeError, ValueError, OverflowError) as error:
         raise ReproError(f"malformed PPUF save file: {error}") from error
 
 
@@ -104,8 +104,8 @@ def publish_temp(temp_path: str, path: str) -> None:
     """Publish a fully written temp file at ``path`` (the atomic contract).
 
     ``mkstemp`` creates temp files with mode 0600, which is the wrong
-    permission set to *publish*: a registry directory read by verify
-    workers under another uid would silently lose access.  The temp file
+    permission set to *publish*: a registry pack read by verify workers
+    under another uid would silently lose access.  The temp file
     is re-moded to the umask-respecting 0666-derived permissions a plain
     :func:`open` would have produced, then moved over ``path`` with
     :func:`os.replace`.  The caller must already have flushed and fsynced

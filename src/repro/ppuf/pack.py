@@ -7,9 +7,9 @@ then an index lookup plus a row slice, and every process mapping the pack
 shares pages through the OS page cache — one file instead of one per
 device, one open instead of one per cold claim.  The same container
 carries a single device to pool workers (a temporary pack on tmpfs, see
-:func:`scratch_pack_path`) and a server's JSON-enrolled devices (its
-private enrollment pack): the directory of public models the paper's
-protocol assumes, in one format.
+:func:`scratch_pack_path`) and is a verification server's whole device
+registry (:class:`~repro.service.registry.DeviceRegistry`): the directory
+of public models the paper's protocol assumes, in one format.
 
 On-disk layout (container ``format: 2``)
 ----------------------------------------
@@ -38,15 +38,17 @@ earlier record (last writer wins) — a refresh without a rewrite.
 :meth:`PackWriter.close` flushes and fsyncs; a writer killed mid-record
 leaves a truncated tail that :class:`ArtifactPack` detects and skips with
 a logged warning (every fully synced record before it survives), and
-:meth:`PackWriter.open` truncates such a tail before appending.  A fresh
-:meth:`PackWriter.create` stages the whole file in a temp path and
+:meth:`PackWriter.open` truncates such a tail before appending.  An
+appending writer holds an exclusive :func:`fcntl.flock` on the pack until
+it closes, so that truncation never cuts a record another process is
+still writing, and appends from several processes never interleave.  A
+fresh :meth:`PackWriter.create` stages the whole file in a temp path and
 publishes it with the module-wide fsync + umask-respecting chmod +
 :func:`os.replace` contract of :mod:`repro.ppuf.io`.
 """
 
 from __future__ import annotations
 
-import io as _io
 import json
 import logging
 import os
@@ -56,6 +58,11 @@ from collections import OrderedDict
 from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
+
+try:
+    import fcntl
+except ImportError:  # pragma: no cover - non-POSIX fallback
+    fcntl = None
 
 from repro.errors import ReproError
 from repro.ppuf.compiled import CompiledDevice
@@ -220,28 +227,33 @@ class PackWriter:
     def open(cls, path: str) -> "PackWriter":
         """Open ``path`` for appending (given a header if missing or empty).
 
-        The existing records are scanned first: a corrupt or truncated
+        The writer holds an exclusive :func:`fcntl.flock` on the file until
+        :meth:`close`, so writers in several processes take turns.  Under
+        the lock the existing records are scanned: a corrupt or truncated
         tail from an interrupted append is truncated away (with a logged
-        warning) so new records always extend a valid pack.
+        warning) so new records always extend a valid pack.  A missing
+        file is created without truncating one another writer just made.
         """
-        if not os.path.exists(path) or os.path.getsize(path) == 0:
-            handle = _io.open(path, "wb")
-            handle.write(_FILE_HEADER.pack(PACK_MAGIC, PACK_FORMAT_VERSION, 0))
-            return cls(path, handle)
-        handle = _io.open(path, "r+b")
+        descriptor = os.open(path, os.O_RDWR | os.O_CREAT, 0o666)
+        handle = os.fdopen(descriptor, "r+b")
         try:
+            if fcntl is not None:
+                fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
+            if os.fstat(handle.fileno()).st_size == 0:
+                handle.write(_FILE_HEADER.pack(PACK_MAGIC, PACK_FORMAT_VERSION, 0))
+                return cls(path, handle)
             index, end = _scan(handle, path)
+            size = os.fstat(handle.fileno()).st_size
+            if end < size:
+                logger.warning(
+                    "artifact pack %s: truncating %d trailing byte(s) of an "
+                    "interrupted append before writing", path, size - end,
+                )
+                handle.truncate(end)
+            handle.seek(end)
         except BaseException:
             handle.close()
             raise
-        size = os.fstat(handle.fileno()).st_size
-        if end < size:
-            logger.warning(
-                "artifact pack %s: truncating %d trailing byte(s) of an "
-                "interrupted append before writing", path, size - end,
-            )
-            handle.truncate(end)
-        handle.seek(end)
         return cls(path, handle, ids=set(index))
 
     # ------------------------------------------------------------------
@@ -303,18 +315,10 @@ class PackWriter:
     def __contains__(self, device_id: str) -> bool:
         return device_id in self._ids
 
-    def flush(self) -> None:
-        """Hand every appended record to the OS (no fsync).
-
-        After this, other processes that (re)scan the pack see the new
-        records — enough for a process-private pack on tmpfs, where
-        durability is moot.
-        """
-        self._handle.flush()
-
     # ------------------------------------------------------------------
     def close(self, *, abort: bool = False) -> None:
-        """Flush, fsync and (for :meth:`create`) atomically publish."""
+        """Flush, fsync, release the append lock and (for :meth:`create`)
+        atomically publish."""
         if self._closed:
             return
         self._closed = True

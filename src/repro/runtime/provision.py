@@ -8,12 +8,12 @@ device after that is an index lookup plus a row slice; every process
 mapping the same pack shares its pages through the OS page cache, so the
 artifact bytes exist once per machine, not once per worker.
 
-The packs a worker sees are the service's fleet pack, the registry's
-private enrollment pack (see :class:`~repro.service.registry.DeviceRegistry`)
-and the temporary single-device pack :func:`ship_compiled` writes for the
-batch pipeline's pool fan-out.  The enrollment pack grows while workers
-hold it mapped, so a lookup that misses re-scans the pack once before it
-gives up.
+The packs a worker sees are the service's registry pack (see
+:class:`~repro.service.registry.DeviceRegistry`) and the temporary
+single-device pack :func:`ship_compiled` writes for the batch pipeline's
+pool fan-out.  The registry pack grows by enrollment while workers hold
+it mapped, so a lookup that misses re-scans the pack once before it gives
+up.
 
 The one per-worker device cache is each mapped pack's own LRU, opened
 with :data:`WORKER_DEVICE_CACHE_SIZE` entries: a fleet of millions must
@@ -45,8 +45,8 @@ def pack_device(path: str, device_id: str):
             path, cache_devices=WORKER_DEVICE_CACHE_SIZE
         )
     elif device_id not in pack:
-        # Appended since this worker mapped the pack (the registry's
-        # enrollment pack grows under its workers): re-scan once.
+        # Appended since this worker mapped the pack (the registry pack
+        # grows by enrollment under its workers): re-scan once.
         pack.refresh()
     return pack.device(device_id)
 

@@ -220,15 +220,18 @@ class FleetRouter:
             except asyncio.CancelledError:
                 pass
             self._map_watch = None
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        # Cancel the pinned connections before awaiting wait_closed():
+        # on Python 3.12+ it waits for every open client connection.
+        server, self._server = self._server, None
+        if server is not None:
+            server.close()
         for task in list(self._connections):
             task.cancel()
         if self._connections:
             await asyncio.gather(*self._connections, return_exceptions=True)
             self._connections.clear()
+        if server is not None:
+            await server.wait_closed()
 
     async def serve_forever(self) -> None:
         if self._server is None:

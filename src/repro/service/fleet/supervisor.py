@@ -3,9 +3,11 @@
 :class:`FleetSupervisor` turns ``repro serve`` into a horizontally scaled
 fleet: it spawns N shard workers as subprocesses — each one a full
 :class:`~repro.service.server.PpufAuthServer` with its own asyncio loop
-and verification pool, all mapping the *same* artifact pack read-only, so
-the fleet's artifact bytes exist once on disk and once in the page cache
-no matter how many shards serve them.  Workers bind ``port=0`` and report
+and verification pool, all serving the *same* artifact pack, so the
+fleet's artifact bytes exist once on disk and once in the page cache no
+matter how many shards serve them.  A shard that takes a wire enrollment
+appends it to that pack under the pack's exclusive append lock, so a
+respawned shard still serves it.  Workers bind ``port=0`` and report
 the ephemeral port back on stdout as a machine-readable
 ``{"event": "listening", "port": …}`` line; the supervisor records it in
 the shared :class:`~repro.service.fleet.topology.ShardMap` that the
@@ -91,7 +93,6 @@ class ShardWorkerSpec:
     """
 
     pack: Optional[str] = None
-    registry: Optional[str] = None
     workers: int = 0
     rounds: int = 4
     deadline_seconds: float = 5.0
@@ -119,8 +120,6 @@ class ShardWorkerSpec:
         ]
         if self.pack:
             args += ["--pack", self.pack]
-        if self.registry:
-            args += ["--registry", self.registry]
         if self.seed is not None:
             args += ["--seed", str(self.seed + shard_index)]
         if not self.allow_enroll:

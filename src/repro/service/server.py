@@ -1,9 +1,12 @@
 """The asyncio authentication server.
 
 ``PpufAuthServer`` glues the pieces together: a JSON-lines TCP listener
-(:mod:`repro.service.wire`), the :class:`~repro.service.registry.DeviceRegistry`,
-the :class:`~repro.service.sessions.SessionManager`, a bounded
-verification pool, and :class:`~repro.service.stats.ServerStats`.
+(:mod:`repro.service.wire`), the :class:`~repro.service.registry.DeviceRegistry`
+(one artifact pack: HELLO reads its record headers, every claim hands the
+pool that pack's path, and ``ENROLL`` validates, compiles and appends in
+the default executor, off the event loop), the
+:class:`~repro.service.sessions.SessionManager`, a bounded verification
+pool, and :class:`~repro.service.stats.ServerStats`.
 
 The verification pool matters because claim verification is the
 O(n²/p) residual-graph check — microseconds on toy devices but the real
@@ -37,8 +40,9 @@ verdicts instead of dead connections, the idle-session sweeper logs and
 survives its own failures, connection/session limits turn floods into
 backpressure, stalled verifications and stalled connections are cut by
 timeouts, and :meth:`PpufAuthServer.stop` drains in-flight verifications
-before tearing the pool down.  Every containment path increments a
-dedicated :class:`ServerStats` counter exported over ``STATS``.
+and replies, then closes every connection, before tearing the pool down.
+Every containment path increments a dedicated :class:`ServerStats`
+counter exported over ``STATS``.
 """
 
 from __future__ import annotations
@@ -46,10 +50,10 @@ from __future__ import annotations
 import asyncio
 import logging
 from collections import OrderedDict
-from typing import Optional
+from typing import Dict, Optional
 
 from repro.circuit.ptm32 import OperatingConditions, Technology
-from repro.errors import ServiceError, ServiceTimeout, VerificationError
+from repro.errors import ReproError, ServiceError, ServiceTimeout, VerificationError
 from repro.ppuf.challenge import ChallengeSpace
 from repro.ppuf.crossbar import Crossbar
 from repro.ppuf.delay import lin_mead_delay_bound
@@ -144,7 +148,7 @@ class PpufAuthServer:
     ----------
     registry:
         Devices this verifier will challenge (may start empty when
-        ``allow_enroll``).
+        ``allow_enroll``); a scratch registry when omitted.
     host, port:
         Bind address; ``port=0`` picks a free port (see :attr:`port` after
         :meth:`start`).
@@ -180,8 +184,8 @@ class PpufAuthServer:
         Per-connection message budget — backpressure against a single
         connection monopolising the server.  ``None`` disables.
     drain_seconds:
-        How long :meth:`stop` waits for in-flight verifications to
-        complete before shutting the pool down.
+        How long :meth:`stop` waits for in-flight verifications and
+        replies to complete before it closes the connections.
     """
 
     def __init__(
@@ -233,6 +237,10 @@ class PpufAuthServer:
             on_dispatch=self.stats.observe_batch,
         )
         self._connections = 0
+        # Every live connection handler and its writer, and how many of
+        # them hold a request they have not answered yet (stop() drains).
+        self._handlers: Dict[asyncio.Task, asyncio.StreamWriter] = {}
+        self._replying = 0
         self._server: Optional[asyncio.base_events.Server] = None
         self._sweeper: Optional[asyncio.Task] = None
 
@@ -249,14 +257,24 @@ class PpufAuthServer:
         self._sweeper = asyncio.create_task(self._sweep_idle_sessions())
 
     async def stop(self) -> None:
-        # Stop accepting first, then drain in-flight verifications so a
-        # claim that already paid for its verify still gets its verdict,
-        # then tear down the sweeper, the pool and the enrollment pack.
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        await self._drain_verifications()
+        """Stop losslessly: every request already read gets its reply.
+
+        Stop accepting, then drain in-flight verifications and replies so
+        a claim that already paid for its verify still gets its verdict,
+        then close every connection (an idle handler reads EOF and exits)
+        and await the handlers before tearing down the sweeper, the pool
+        and the registry.  Handlers are never cancelled: a cancel right
+        after the drain could drop a just-drained verdict.
+        """
+        server, self._server = self._server, None
+        if server is not None:
+            server.close()
+        await self._drain()
+        for writer in self._handlers.values():
+            writer.close()
+        await asyncio.gather(*self._handlers, return_exceptions=True)
+        if server is not None:
+            await server.wait_closed()
         if self._sweeper is not None:
             self._sweeper.cancel()
             try:
@@ -267,19 +285,23 @@ class PpufAuthServer:
         self.pool.shutdown(wait=False, cancel_futures=True)
         self.registry.close()
 
-    async def _drain_verifications(self) -> None:
+    async def _drain(self) -> None:
+        """Wait up to ``drain_seconds`` for verifications and replies."""
         self.batcher.flush()
-        deadline = asyncio.get_running_loop().time() + self.drain_seconds
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + self.drain_seconds
 
         def _in_flight() -> bool:
-            return bool(self.pool.active or self.batcher.busy)
+            return bool(self.pool.active or self.batcher.busy or self._replying)
 
-        while _in_flight() and asyncio.get_running_loop().time() < deadline:
+        while _in_flight() and loop.time() < deadline:
             await asyncio.sleep(0.01)
-        if self.pool.active:
+        if self.pool.active or self._replying:
             logger.warning(
-                "stop(): %d verification(s) still in flight after %.1f s drain",
+                "stop(): %d verification(s) and %d reply(ies) still in "
+                "flight after %.1f s drain",
                 self.pool.active,
+                self._replying,
                 self.drain_seconds,
             )
 
@@ -313,6 +335,8 @@ class PpufAuthServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        task = asyncio.current_task()
+        self._handlers[task] = writer
         try:
             if self._connections >= self.max_connections:
                 self.stats.connections_rejected += 1
@@ -341,6 +365,8 @@ class PpufAuthServer:
                 await writer.wait_closed()
             except (ConnectionResetError, BrokenPipeError):
                 pass
+            finally:
+                del self._handlers[task]
 
     async def _serve_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
@@ -376,8 +402,12 @@ class PpufAuthServer:
             if message is None:
                 break
             served += 1
-            reply = await self._dispatch(message)
-            await wire.write_message(writer, reply)
+            self._replying += 1
+            try:
+                reply = await self._dispatch(message)
+                await wire.write_message(writer, reply)
+            finally:
+                self._replying -= 1
 
     async def _dispatch(self, message: dict) -> dict:
         handlers = {
@@ -425,7 +455,17 @@ class PpufAuthServer:
         public = message.get("device")
         if not isinstance(public, dict):
             raise ServiceError("enroll requires a 'device' object")
-        device_id = self.registry.enroll(public)
+        # Validation and the one compile run off the loop.
+        loop = asyncio.get_running_loop()
+        try:
+            device_id = await loop.run_in_executor(
+                None, self.registry.enroll, public
+            )
+        except ReproError as error:
+            raise ServiceError(f"cannot enroll: {error}") from error
+        except OSError as error:
+            logger.warning("enrollment append failed: %s", error)
+            raise ServiceError("cannot enroll: registry pack write failed") from error
         self.stats.enrollments += 1
         return {"type": wire.ENROLLED, "device_id": device_id}
 
@@ -492,10 +532,9 @@ class PpufAuthServer:
         if claim_wire.get("challenge") != challenged:
             return self._verdict(session, False, "wrong_challenge", elapsed)
 
-        pack_path = await self._device_payload(session.device_id)
         try:
             accepted, reason, verify_seconds, fault = await self.batcher.submit(
-                (session.device_id, pack_path, session.network, claim_wire)
+                (session.device_id, self.registry.path, session.network, claim_wire)
             )
         except ServiceTimeout:
             self.stats.verify_timeouts += 1
@@ -547,24 +586,6 @@ class PpufAuthServer:
         call time, so tests can swap the task function.
         """
         return await self.pool.run(_verify_claims_task, jobs)
-
-    async def _device_payload(self, device_id: str) -> str:
-        """The path of the pack verification workers find ``device_id`` in.
-
-        Each worker resolves it against its own long-lived mapping of the
-        pack, so the claim's verify is an index lookup + row slice with no
-        artifact bytes on the wire.  A fleet-pack device costs nothing
-        here; a JSON-enrolled one pays one compilation into the registry's
-        enrollment pack on its first claim, offloaded to the default
-        executor so the event loop keeps serving.
-        """
-        pack = self.registry.pack
-        if pack is not None and device_id in pack:
-            return pack.path
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(
-            None, self.registry.artifact_payload, device_id
-        )
 
     def _verdict(self, session: Session, accepted: bool, reason: str, elapsed: float) -> dict:
         self.sessions.close(session)

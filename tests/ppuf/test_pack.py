@@ -173,24 +173,55 @@ class TestAppendProtocol:
     ):
         path = str(tmp_path / "live.pack")
         open(path, "wb").close()  # a reserved, empty file gets a header
-        writer = PackWriter.open(path)
-        try:
+        with PackWriter.open(path) as writer:
             writer.add(compiled_fleet[0])
-            writer.flush()
-            reader = ArtifactPack(path)
-            first = reader.device(compiled_fleet[0].device_id)
+        reader = ArtifactPack(path)
+        first = reader.device(compiled_fleet[0].device_id)
+        with PackWriter.open(path) as writer:
             writer.add(compiled_fleet[1])
-            writer.flush()
-            assert compiled_fleet[1].device_id not in reader
-            reader.refresh()
-            assert compiled_fleet[1].device_id in reader
-            assert np.array_equal(
-                reader.device(compiled_fleet[1].device_id).cap0,
-                compiled_fleet[1].cap0,
-            )
-            assert np.array_equal(first.cap1, compiled_fleet[0].cap1)
+        assert compiled_fleet[1].device_id not in reader
+        reader.refresh()
+        assert compiled_fleet[1].device_id in reader
+        assert np.array_equal(
+            reader.device(compiled_fleet[1].device_id).cap0,
+            compiled_fleet[1].cap0,
+        )
+        assert np.array_equal(first.cap1, compiled_fleet[0].cap1)
+
+    def test_open_blocks_while_another_writer_holds_the_pack(
+        self, tmp_path, compiled_fleet
+    ):
+        # Two writers (two fleet shards, or a shard and `repro pack
+        # append`) take turns: the second open waits for the first close,
+        # then scans and extends the first writer's records rather than
+        # truncating them as a torn tail.  The path starts missing, so the
+        # second open must not truncate the file the first one created.
+        import threading
+
+        path = str(tmp_path / "locked.pack")
+        first = PackWriter.open(path)
+        first.add(compiled_fleet[0])
+        opened = threading.Event()
+        seen = []
+
+        def second_writer():
+            with PackWriter.open(path) as writer:
+                opened.set()
+                seen.extend(c.device_id in writer for c in compiled_fleet[:2])
+                writer.add(compiled_fleet[1])
+
+        thread = threading.Thread(target=second_writer)
+        thread.start()
+        try:
+            assert not opened.wait(0.5)
         finally:
-            writer.close()
+            first.close()
+        thread.join(timeout=10)
+        assert opened.is_set() and not thread.is_alive()
+        assert seen == [True, False]
+        pack = ArtifactPack(path)
+        assert pack.ids() == sorted(c.device_id for c in compiled_fleet[:2])
+        assert os.path.getsize(path) == pack.stats()["data_end"]
 
     def test_scratch_path_is_a_fresh_empty_file(self):
         from repro.ppuf.pack import scratch_pack_path

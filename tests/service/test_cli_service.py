@@ -44,8 +44,8 @@ def server_port(tmp_path):
             "2",
             "--seed",
             "9",
-            "--registry",
-            str(tmp_path / "registry"),
+            "--pack",
+            str(tmp_path / "registry.pack"),
         ],
         env=env,
         stderr=subprocess.PIPE,
@@ -117,8 +117,8 @@ class TestServeLifecycle:
                 "0",
                 "--rounds",
                 "2",
-                "--registry",
-                str(tmp_path / "registry"),
+                "--pack",
+                str(tmp_path / "registry.pack"),
             ],
             env=_serve_env(),
             stdout=subprocess.PIPE,

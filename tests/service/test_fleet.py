@@ -175,3 +175,41 @@ class TestSupervisedFleet:
 
         # Shutdown was graceful: SIGTERM → drain → exit 0.
         assert set(results["exit_codes"].values()) == {0}
+
+    def test_wire_enrollment_survives_a_shard_respawn(self, tmp_path):
+        # Shards append wire enrollments to the fleet's pack, so the
+        # replacement of a killed shard still serves them.
+        device = Ppuf.create(8, 2, np.random.default_rng(59))
+        pack_path = str(tmp_path / "registry.pack")  # the shard creates it
+
+        async def go():
+            shard_map = ShardMap()
+            supervisor = FleetSupervisor(
+                1,
+                ShardWorkerSpec(pack=pack_path, rounds=1, seed=13),
+                shard_map=shard_map,
+                probe_interval=0.25,
+                restart_policy=RetryPolicy(base_delay=0.05, max_delay=0.2, seed=0),
+            )
+            await supervisor.start()
+            try:
+                async with FleetRouter(shard_map) as router:
+                    async with ServiceClient("127.0.0.1", router.port) as client:
+                        await client.enroll(device)
+                    (victim,) = [shard.name for shard in shard_map.shards()]
+                    old_port = shard_map.get(victim).port
+                    supervisor.workers[victim].process.kill()
+                    await _wait_for(
+                        lambda: (
+                            shard_map.get(victim).state == ACTIVE
+                            and shard_map.get(victim).port != old_port
+                        ),
+                        timeout=30.0,
+                        what=f"supervisor restart of {victim}",
+                    )
+                    return await _authenticate(router.port, device)
+            finally:
+                await supervisor.stop()
+
+        outcome = run(go())
+        assert outcome.accepted and outcome.reason == "ok"

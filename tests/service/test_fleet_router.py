@@ -186,6 +186,22 @@ class TestFleetStats:
         assert states == {"shard-0": False, "shard-1": True}
 
 
+class TestRouterStop:
+    def test_stop_returns_with_a_client_pinned_through_it(self, devices):
+        # Server.wait_closed() waits for open client connections on Python
+        # 3.12+: stop() must cancel the pinned splices before awaiting it.
+        async def go():
+            async with Fleet() as fleet:
+                async with ServiceClient("127.0.0.1", fleet.router.port) as client:
+                    await client.enroll(devices[0])  # pins the connection
+                    loop = asyncio.get_running_loop()
+                    started = loop.time()
+                    await asyncio.wait_for(fleet.router.stop(), timeout=5.0)
+                    return loop.time() - started
+
+        assert run(go()) < 5.0
+
+
 class FakeShard:
     """A loopback peer that answers every frame with one canned reply."""
 

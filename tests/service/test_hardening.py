@@ -78,6 +78,7 @@ class TestDispatchShapeValidation:
             await reader.readline()
             writer.write(b"{}\n")
             await writer.drain()
+            writer.close()
 
         async def go():
             server = await asyncio.start_server(fake_server, "127.0.0.1", 0)
@@ -260,7 +261,7 @@ class TestWorkerDeviceCache:
                     # The first device was evicted (3 devices, cap 2):
                     # re-verification must re-slice it and still accept.
                     outcomes.append(await client.authenticate(devices[0]))
-                    path = server.registry._enrollment.path
+                    path = server.registry.path
                     cached = len(provision_module._WORKER_PACKS[path]._cache)
             return outcomes, cached
 
@@ -462,6 +463,52 @@ class TestGracefulDrain:
         outcome, done = run(go())
         assert len(done) == 1
         assert outcome.accepted
+
+
+    def test_claim_in_flight_across_stop_gets_its_verdict(
+        self, device, monkeypatch
+    ):
+        def slow_verify_batch(jobs):
+            time.sleep(0.4)
+            return [(True, "ok", 0.4, None) for _ in jobs]
+
+        monkeypatch.setattr(server_module, "_verify_claims_task", slow_verify_batch)
+
+        async def go():
+            server = PpufAuthServer(workers=0, rounds=1, seed=5, drain_seconds=5.0)
+            await server.start()
+            async with ServiceClient("127.0.0.1", server.port) as client:
+                await client.enroll(device)
+                claim = asyncio.create_task(client.authenticate(device))
+                while server.pool.active == 0:
+                    await asyncio.sleep(0.01)
+                await asyncio.wait_for(server.stop(), timeout=10.0)
+                # Every connection handler finished inside stop(); only
+                # this task and the client's own are still running.
+                left = asyncio.all_tasks() - {asyncio.current_task(), claim}
+                outcome = await asyncio.wait_for(claim, timeout=2.0)
+            return outcome, left
+
+        outcome, left = run(go())
+        assert outcome.accepted and outcome.reason == "ok"
+        assert left == set()
+
+    def test_idle_client_does_not_hold_stop(self, device):
+        async def go():
+            server = PpufAuthServer(workers=0, seed=5, drain_seconds=1.0)
+            await server.start()
+            async with ServiceClient("127.0.0.1", server.port) as client:
+                await client.stats()  # served, now idle and still connected
+                loop = asyncio.get_running_loop()
+                started = loop.time()
+                await asyncio.wait_for(server.stop(), timeout=10.0)
+                elapsed = loop.time() - started
+                left = asyncio.all_tasks() - {asyncio.current_task()}
+            return elapsed, left
+
+        elapsed, left = run(go())
+        assert elapsed < 1.0
+        assert left == set()
 
 
 class TestCliResilienceFlags:

@@ -1,8 +1,8 @@
 """HELLO is served from the device header.
 
 Opening a session needs only ``n``, ``l``, the technology card and the
-operating point.  These tests pin that HELLO never builds a device (from
-the enrolled JSON or from a pack record), that the registry keeps no
+operating point.  These tests pin that HELLO never builds a device (for
+a wire-enrolled or a pre-packed device alike), that the registry keeps no
 rebuilt devices resident, that the relayed paper deadline is the device's
 Lin–Mead bound, and that a malformed ``rounds`` is a protocol error.
 """

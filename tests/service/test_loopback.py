@@ -120,8 +120,8 @@ class TestCompiledVerification:
 
     def test_verdict_identical_with_and_without_compiled(self, device, tmp_path):
         # With: the device arrives precompiled in a fleet pack.  Without:
-        # it is enrolled as public JSON and compiled on its first claim
-        # into the server's enrollment pack.
+        # it is enrolled over the wire and compiled once, at enrollment,
+        # into the server's registry pack.
         from repro.ppuf.pack import build_pack
         from repro.service import DeviceRegistry
 
@@ -148,7 +148,7 @@ class TestCompiledVerification:
     def test_device_enrolled_after_the_worker_mapped_the_pack(
         self, device, other_device
     ):
-        # The worker maps the enrollment pack on the first claim; the
+        # The worker maps the registry pack on the first claim; the
         # second device is appended afterwards and must still resolve
         # (the worker re-scans its mapping on the miss).
         async def go():
@@ -172,7 +172,7 @@ class TestCompiledVerification:
                 async with ServiceClient("127.0.0.1", server.port) as client:
                     await client.enroll(device)
                     outcome = await client.authenticate(device)
-                path = server.registry._enrollment.path
+                path = server.registry.path
                 assert os.path.exists(path)
             return outcome, path
 

@@ -1,4 +1,4 @@
-"""Device registry: content-derived ids, persistence, reload."""
+"""Device registry: content-derived ids, one artifact pack, withdrawal."""
 
 import json
 import os
@@ -8,7 +8,9 @@ import pytest
 
 from repro.errors import ReproError, ServiceError
 from repro.ppuf import Ppuf
-from repro.ppuf.io import ppuf_to_dict
+from repro.ppuf.io import ppuf_to_dict, save_ppuf
+from repro.ppuf.pack import ArtifactPack, PackWriter
+from repro.runtime import provision
 from repro.service import DeviceRegistry, device_id_for
 
 
@@ -33,7 +35,7 @@ class TestEnrollment:
         device_id = registry.enroll_ppuf(tiny_ppuf)
         assert device_id in registry
         assert len(registry) == 1
-        restored = registry.compiled(device_id)
+        restored = registry.pack.device(device_id)
         challenges = tiny_ppuf.challenge_space().random_batch(5, rng)
         assert np.array_equal(
             restored.response_bits(challenges), tiny_ppuf.response_bits(challenges)
@@ -48,8 +50,6 @@ class TestEnrollment:
     def test_unknown_device_raises(self):
         registry = DeviceRegistry()
         with pytest.raises(ServiceError):
-            registry.public("deadbeef")
-        with pytest.raises(ServiceError):
             registry.header("deadbeef")
 
     def test_malformed_description_rejected(self):
@@ -60,45 +60,56 @@ class TestEnrollment:
 
 class TestCompiledArtifacts:
     def test_compiled_once_then_cached(self, tiny_ppuf, rng, monkeypatch):
+        # Enrollment compiles once; re-enrolling and resolving the device
+        # the way a claim's verify worker does both read the pack record.
+        compiles = []
+        real = Ppuf.compile
+
+        def counting(device, **kwargs):
+            compiles.append(kwargs)
+            return real(device, **kwargs)
+
+        monkeypatch.setattr(Ppuf, "compile", counting)
         registry = DeviceRegistry()
         device_id = registry.enroll_ppuf(tiny_ppuf)
-        artifact = registry.compiled(device_id)
-        # The second lookup reads the enrollment pack's record back.
+        assert compiles == [{"include_circuit": False, "device_id": device_id}]
         monkeypatch.setattr(
             Ppuf, "compile", lambda *a, **k: pytest.fail("compiled twice")
         )
-        assert np.array_equal(registry.compiled(device_id).cap0, artifact.cap0)
-        assert artifact.device_id == device_id
-        assert not artifact.has_circuit_tables  # verification-only build
-        challenges = tiny_ppuf.challenge_space().random_batch(8, rng)
-        assert np.array_equal(
-            artifact.response_bits(challenges), tiny_ppuf.response_bits(challenges)
-        )
-
-    def test_compiled_unknown_device_raises(self):
-        with pytest.raises(ServiceError):
-            DeviceRegistry().compiled("deadbeef")
+        try:
+            assert registry.enroll_ppuf(tiny_ppuf) == device_id
+            artifact = provision.pack_device(registry.path, device_id)
+            assert artifact.device_id == device_id
+            assert not artifact.has_circuit_tables  # verification-only build
+            challenges = tiny_ppuf.challenge_space().random_batch(8, rng)
+            assert np.array_equal(
+                artifact.response_bits(challenges),
+                tiny_ppuf.response_bits(challenges),
+            )
+        finally:
+            registry.close()
+            provision.clear_cache()
 
     def test_compiled_persists_in_enrollment_pack(
         self, tiny_ppuf, rng, monkeypatch
     ):
-        from repro.ppuf.pack import ArtifactPack
-
+        # Without a named pack the registry enrolls into a scratch pack,
+        # which close() removes.
         registry = DeviceRegistry()
         device_id = registry.enroll_ppuf(tiny_ppuf)
-        path = registry.artifact_payload(device_id)
+        path = registry.path
         assert ArtifactPack(path).ids() == [device_id]
 
         other = Ppuf.create(6, 2, np.random.default_rng(34))
-        registry.compiled(registry.enroll_ppuf(other))
-        other_id = device_id_for(ppuf_to_dict(other))
+        other_id = registry.enroll_ppuf(other)
+        assert other_id == device_id_for(ppuf_to_dict(other))
         assert ArtifactPack(path).ids() == sorted([device_id, other_id])
-        # The artifact must come back from the enrollment pack —
-        # recompiling here would mean the append was for nothing.
+        # The artifact must come back from the pack — recompiling here
+        # would mean the append was for nothing.
         monkeypatch.setattr(
             Ppuf, "compile", lambda *a, **k: pytest.fail("recompiled from scratch")
         )
-        artifact = registry.compiled(device_id)
+        artifact = registry.pack.device(device_id)
         challenges = tiny_ppuf.challenge_space().random_batch(8, rng)
         assert np.array_equal(
             artifact.response_bits(challenges), tiny_ppuf.response_bits(challenges)
@@ -106,160 +117,123 @@ class TestCompiledArtifacts:
         registry.close()
         assert not os.path.exists(path)
 
-    def test_npz_files_do_not_break_directory_reload(self, tiny_ppuf, tmp_path):
-        registry = DeviceRegistry(str(tmp_path))
-        device_id = registry.enroll_ppuf(tiny_ppuf)
-        registry.compiled(device_id)
-        # Compiled artifacts never land in the directory; a leftover
-        # per-device archive from an older release is not an entry either.
-        assert os.listdir(tmp_path) == [f"{device_id}.json"]
-        (tmp_path / f"{device_id}.npz").write_bytes(b"old archive")
-        reloaded = DeviceRegistry(str(tmp_path))
-        assert len(reloaded) == 1
+    def test_compiled_unknown_device_raises(self):
+        registry = DeviceRegistry()
+        try:
+            with pytest.raises(ReproError):
+                registry.pack.device("deadbeef")
+        finally:
+            registry.close()
 
-    def test_corrupt_artifact_is_recompiled(self, tiny_ppuf, tmp_path, rng):
-        # A corrupt per-device archive left by an older release is never
-        # read: the device compiles into the enrollment pack instead.
-        registry = DeviceRegistry(str(tmp_path))
-        device_id = registry.enroll_ppuf(tiny_ppuf)
-        (tmp_path / f"{device_id}.npz").write_bytes(b"not an archive")
-        artifact = registry.compiled(device_id)
-        challenges = tiny_ppuf.challenge_space().random_batch(8, rng)
-        assert np.array_equal(
-            artifact.response_bits(challenges), tiny_ppuf.response_bits(challenges)
-        )
-        registry.close()
+    def test_unknown_device_payload_raises(self):
+        # The payload a claim's verify worker receives is the pack path:
+        # an id the pack does not hold fails typed, also after the one
+        # re-scan a miss on a mapped pack triggers.
+        registry = DeviceRegistry()
+        try:
+            for _ in range(2):
+                with pytest.raises(ReproError):
+                    provision.pack_device(registry.path, "deadbeef")
+        finally:
+            registry.close()
+            provision.clear_cache()
 
-    def test_lost_enrollment_pack_is_rebuilt(self, tiny_ppuf, tmp_path, rng):
-        registry = DeviceRegistry(str(tmp_path))
-        device_id = registry.enroll_ppuf(tiny_ppuf)
-        # The enrollment pack is scratch: once closed, the next cold miss
-        # compiles into a new one.
-        lost = registry.artifact_payload(device_id)
-        registry.close()
-        assert not os.path.exists(lost)
-        path = registry.artifact_payload(device_id)
-        assert path != lost and os.path.exists(path)
-        artifact = registry.compiled(device_id)
-        challenges = tiny_ppuf.challenge_space().random_batch(8, rng)
-        assert np.array_equal(
-            artifact.response_bits(challenges), tiny_ppuf.response_bits(challenges)
-        )
-        registry.close()
-
-    def test_artifact_payload_prefers_the_fleet_pack(self, tiny_ppuf, tmp_path):
+    def test_enrolling_a_packed_device_writes_nothing(
+        self, tiny_ppuf, tmp_path, monkeypatch
+    ):
         from repro.ppuf.pack import build_pack
 
         pack_path = str(tmp_path / "fleet.pack")
         build_pack(pack_path, [tiny_ppuf.compile(include_circuit=False)])
+        size = os.path.getsize(pack_path)
         registry = DeviceRegistry(pack=pack_path)
-        device_id = registry.enroll_ppuf(tiny_ppuf)
-        assert registry.artifact_payload(device_id) == pack_path
-        assert registry._enrollment is None  # nothing compiled, nothing written
+        # A known id neither compiles nor takes the append lock.
+        monkeypatch.setattr(
+            Ppuf, "compile", lambda *a, **k: pytest.fail("compiled")
+        )
+        monkeypatch.setattr(
+            PackWriter, "open", lambda *a, **k: pytest.fail("opened for append")
+        )
+        assert registry.enroll_ppuf(tiny_ppuf) == tiny_ppuf.device_id
+        assert os.path.getsize(pack_path) == size
 
-    def test_unknown_device_payload_raises(self):
-        with pytest.raises(ServiceError):
-            DeviceRegistry().artifact_payload("deadbeef")
-
-    def test_concurrent_first_claims_append_whole_records(self):
-        # compiled() runs on executor threads; interleaved appends would
-        # corrupt the enrollment pack that workers scan.
+    def test_concurrent_enrollments_append_whole_records(self, tmp_path):
+        # enroll() runs on executor threads, and several registries (the
+        # shards of one fleet) may append to one pack: interleaved appends
+        # would corrupt the pack that workers scan.  Two registries on one
+        # path hold separate thread locks, so only the pack's file lock
+        # keeps their appends apart.
         import sys
         from concurrent.futures import ThreadPoolExecutor
 
-        from repro.ppuf.pack import ArtifactPack
-
         rng = np.random.default_rng(35)
         devices = [Ppuf.create(6, 2, rng) for _ in range(6)]
-        registry = DeviceRegistry()
-        ids = [registry.enroll_ppuf(device) for device in devices]
+        path = str(tmp_path / "shared.pack")
+        registries = [DeviceRegistry(pack=path), DeviceRegistry(pack=path)]
         previous = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=8) as pool:
                 futures = [
-                    pool.submit(registry.artifact_payload, device_id)
-                    for device_id in ids * 8
+                    pool.submit(registries[k % 2].enroll_ppuf, device)
+                    for k, device in enumerate(devices * 4)
                 ]
-                payloads = {future.result(timeout=60) for future in futures}
+                ids = {future.result(timeout=60) for future in futures}
         finally:
             sys.setswitchinterval(previous)
-        try:
-            (path,) = payloads
-            pack = ArtifactPack(path)
-            assert pack.ids() == sorted(ids)
-            assert os.path.getsize(path) == pack.stats()["data_end"]
-            probe = devices[0].challenge_space().random_batch(4, rng)
-            for device, device_id in zip(devices, ids):
-                assert np.array_equal(
-                    pack.device(device_id).response_bits(probe),
-                    device.response_bits(probe),
-                )
-        finally:
-            registry.close()
+        pack = ArtifactPack(path)
+        assert len(ids) == len(devices)
+        assert pack.ids() == sorted(ids)
+        assert os.path.getsize(path) == pack.stats()["data_end"]
+        probe = devices[0].challenge_space().random_batch(4, rng)
+        for device in devices:
+            assert np.array_equal(
+                pack.device(device.device_id).response_bits(probe),
+                device.response_bits(probe),
+            )
 
 
 class TestReload:
-    """(Re)load must rebuild the fleet, not merge into stale state."""
+    """The pack is append-only: a device is withdrawn by rebuilding the
+    pack from the descriptions that are kept (``repro pack build
+    --registry DIR``) and restarting on it."""
+
+    @staticmethod
+    def build(directory, path):
+        from repro.cli import main
+
+        command = ["pack", "build", "--registry", str(directory), "--output", path]
+        assert main(command) == 0
 
     def test_reload_drops_deleted_devices(self, tiny_ppuf, tmp_path):
-        registry = DeviceRegistry(str(tmp_path))
+        directory = tmp_path / "descriptions"
+        directory.mkdir()
         other = Ppuf.create(6, 2, np.random.default_rng(33))
-        kept = registry.enroll_ppuf(tiny_ppuf)
-        dropped = registry.enroll_ppuf(other)
-        os.unlink(tmp_path / f"{dropped}.json")
-        assert registry.load_directory() == 1
-        assert kept in registry
-        assert dropped not in registry
-        assert len(registry) == 1
+        for device in (tiny_ppuf, other):
+            save_ppuf(device, str(directory / f"{device.device_id}.json"))
+        path = str(tmp_path / "registry.pack")
+        self.build(directory, path)
+        assert len(DeviceRegistry(pack=path)) == 2
+
+        os.unlink(directory / f"{other.device_id}.json")
+        self.build(directory, path)
+        restarted = DeviceRegistry(pack=path)
+        assert tiny_ppuf.device_id in restarted
+        assert other.device_id not in restarted
         with pytest.raises(ServiceError):
-            registry.header(dropped)
+            restarted.header(other.device_id)
 
-    def test_reload_invalidates_cached_compiled_artifacts(self, tiny_ppuf, tmp_path):
-        registry = DeviceRegistry(str(tmp_path))
-        device_id = registry.enroll_ppuf(tiny_ppuf)
-        registry.compiled(device_id)
-        os.unlink(tmp_path / f"{device_id}.json")
-        registry.load_directory()
-        # The warm artifact must not survive the fleet it belonged to: a
-        # deleted-then-unknown id serves nothing, stale or otherwise.
-        with pytest.raises(ServiceError):
-            registry.compiled(device_id)
-
-    def test_reenrolled_id_is_not_served_a_stale_artifact(self, tiny_ppuf, tmp_path, rng):
-        registry = DeviceRegistry(str(tmp_path))
-        device_id = registry.enroll_ppuf(tiny_ppuf)
-        registry.compiled(device_id)
-        # Simulate the fleet directory being re-provisioned out from under
-        # a running server: same id re-enrolled after a reload cycle.
-        registry.load_directory()
-        artifact = registry.compiled(device_id)
-        assert artifact.device_id == device_id
-        challenges = tiny_ppuf.challenge_space().random_batch(4, rng)
-        assert np.array_equal(
-            artifact.response_bits(challenges), tiny_ppuf.response_bits(challenges)
-        )
-
-    def test_mismatched_filename_is_skipped_with_warning(
-        self, tiny_ppuf, tmp_path, caplog
+    def test_renamed_description_packs_under_its_content_digest(
+        self, tiny_ppuf, tmp_path
     ):
-        registry = DeviceRegistry(str(tmp_path))
-        device_id = registry.enroll_ppuf(tiny_ppuf)
-        # A renamed (or tampered-and-renamed) file must not enroll under an
-        # id other than the digest its name claims.
-        os.rename(tmp_path / f"{device_id}.json", tmp_path / ("ab" * 32 + ".json"))
-        with caplog.at_level("WARNING"):
-            loaded = registry.load_directory()
-        assert loaded == 0
-        assert device_id not in registry
-        assert any("does not match" in record.message for record in caplog.records)
-
-    def test_enroll_restores_missing_file(self, tiny_ppuf, tmp_path):
-        registry = DeviceRegistry(str(tmp_path))
-        device_id = registry.enroll_ppuf(tiny_ppuf)
-        os.unlink(tmp_path / f"{device_id}.json")
-        assert registry.enroll_ppuf(tiny_ppuf) == device_id
-        assert os.path.exists(tmp_path / f"{device_id}.json")
+        # A renamed (or tampered-and-renamed) file can never enroll under
+        # the id written on its name: records are keyed by content.
+        directory = tmp_path / "descriptions"
+        directory.mkdir()
+        save_ppuf(tiny_ppuf, str(directory / ("ab" * 32 + ".json")))
+        path = str(tmp_path / "registry.pack")
+        self.build(directory, path)
+        assert DeviceRegistry(pack=path).ids() == [tiny_ppuf.device_id]
 
 
 class TestPackBackedRegistry:
@@ -285,7 +259,7 @@ class TestPackBackedRegistry:
     def test_compiled_serves_mmap_slices(self, pack_path, fleet, rng):
         registry = DeviceRegistry(pack=pack_path)
         for device in fleet:
-            artifact = registry.compiled(device_id_for(ppuf_to_dict(device)))
+            artifact = registry.pack.device(device_id_for(ppuf_to_dict(device)))
             challenges = device.challenge_space().random_batch(4, rng)
             assert np.array_equal(
                 artifact.response_bits(challenges), device.response_bits(challenges)
@@ -294,28 +268,31 @@ class TestPackBackedRegistry:
     def test_device_falls_back_to_pack_artifact(self, pack_path, fleet):
         registry = DeviceRegistry(pack=pack_path)
         device_id = device_id_for(ppuf_to_dict(fleet[0]))
-        served = registry.compiled(device_id)
+        served = registry.pack.device(device_id)
         assert served.crossbar.n == 6
         header = registry.header(device_id)  # what HELLO reads
         assert (header["n"], header["l"]) == (6, 2)
         assert header["technology"] and header["conditions"]
-        with pytest.raises(ServiceError):
-            registry.public(device_id)  # no public JSON was ever enrolled
 
-    def test_directory_fallback_still_compiles(self, pack_path, tiny_ppuf, tmp_path, rng):
-        # A device enrolled via JSON but absent from the pack is compiled
-        # into the enrollment pack transparently.
-        registry = DeviceRegistry(str(tmp_path / "reg"), pack=pack_path)
+    def test_wire_enrollment_appends_to_the_served_pack(
+        self, pack_path, fleet, tiny_ppuf, rng
+    ):
+        # A device absent from the pack is compiled once and appended to
+        # the very pack the registry serves, next to the fleet.
+        registry = DeviceRegistry(pack=pack_path)
         device_id = registry.enroll_ppuf(tiny_ppuf)
-        artifact = registry.compiled(device_id)
+        assert device_id in registry and len(registry) == 4
+        reopened = ArtifactPack(pack_path)
+        assert reopened.ids() == sorted(
+            [device_id] + [device.device_id for device in fleet]
+        )
+        artifact = reopened.device(device_id)
         challenges = tiny_ppuf.challenge_space().random_batch(4, rng)
         assert np.array_equal(
             artifact.response_bits(challenges), tiny_ppuf.response_bits(challenges)
         )
 
     def test_pack_device_cache_is_bounded_and_optional(self, pack_path, fleet):
-        from repro.ppuf.pack import ArtifactPack
-
         ids = [device_id_for(ppuf_to_dict(d)) for d in fleet]
         pack = ArtifactPack(pack_path, cache_devices=1)
         first = pack.device(ids[0])
@@ -346,20 +323,28 @@ class TestPackBackedRegistry:
 
 class TestPersistence:
     def test_enrollment_persists_and_reloads(self, tiny_ppuf, tmp_path):
-        registry = DeviceRegistry(str(tmp_path))
+        # A named pack keeps its enrollments across registries (restarts).
+        path = str(tmp_path / "registry.pack")
+        registry = DeviceRegistry(pack=path)  # created when missing
         device_id = registry.enroll_ppuf(tiny_ppuf)
-        assert os.path.exists(tmp_path / f"{device_id}.json")
-        # no stray temp files from the atomic writer
-        assert all(not name.endswith(".tmp") for name in os.listdir(tmp_path))
+        registry.close()
+        assert os.path.exists(path)
+        assert os.listdir(tmp_path) == ["registry.pack"]  # no stray temp files
 
-        reloaded = DeviceRegistry(str(tmp_path))
+        reloaded = DeviceRegistry(pack=path)
         assert device_id in reloaded
         assert len(reloaded) == 1
 
     def test_corrupt_entry_is_skipped_on_reload(self, tiny_ppuf, tmp_path):
-        registry = DeviceRegistry(str(tmp_path))
-        device_id = registry.enroll_ppuf(tiny_ppuf)
-        (tmp_path / "corrupt.json").write_text("{truncated")
-        reloaded = DeviceRegistry(str(tmp_path))
+        path = str(tmp_path / "registry.pack")
+        device_id = DeviceRegistry(pack=path).enroll_ppuf(tiny_ppuf)
+        with open(path, "ab") as handle:
+            handle.write(b"PKR1\x00torn")  # a writer killed mid-append
+        reloaded = DeviceRegistry(pack=path)
         assert device_id in reloaded
         assert len(reloaded) == 1
+        # The next enrollment cuts the torn tail before it appends.
+        other_id = reloaded.enroll_ppuf(Ppuf.create(6, 2, np.random.default_rng(36)))
+        pack = ArtifactPack(path)
+        assert pack.ids() == sorted([device_id, other_id])
+        assert os.path.getsize(path) == pack.stats()["data_end"]

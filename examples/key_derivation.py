@@ -14,6 +14,8 @@ physical device in a protocol is the time-bounded evaluation, not secrecy.
 Run:  python examples/key_derivation.py
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from repro.ppuf import CurrentComparator, Ppuf, derive_key, key_agreement_rate
@@ -35,10 +37,8 @@ def main():
 
     print("reliability under comparator noise (sigma = 10 nA):")
     for resolution, votes in ((0.0, 1), (0.0, 9), (4e-8, 9)):
-        noisy = Ppuf(
-            crossbar=ppuf.crossbar,
-            network_a=ppuf.network_a,
-            network_b=ppuf.network_b,
+        noisy = replace(
+            ppuf,
             comparator=CurrentComparator(noise_sigma=1e-8, resolution=resolution),
         )
         rate, reference = key_agreement_rate(

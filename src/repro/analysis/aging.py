@@ -16,7 +16,7 @@ the PPUF analogue of an intra-class-HD-over-lifetime plot.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -86,25 +86,10 @@ def aged_sample(
 
 def aged_ppuf(ppuf, model: AgingModel, seconds: float, rng: np.random.Generator):
     """An aged view of the same silicon (both networks drift)."""
-    from repro.ppuf.device import Ppuf, PpufNetwork
-
-    network_a = ppuf.network_a
-    network_b = ppuf.network_b
-    return Ppuf(
-        crossbar=ppuf.crossbar,
-        network_a=PpufNetwork(
-            ppuf.crossbar,
-            aged_sample(network_a.sample, model, seconds, rng),
-            network_a.tech,
-            network_a.conditions,
-        ),
-        network_b=PpufNetwork(
-            ppuf.crossbar,
-            aged_sample(network_b.sample, model, seconds, rng),
-            network_b.tech,
-            network_b.conditions,
-        ),
-        comparator=ppuf.comparator,
+    return replace(
+        ppuf,
+        sample_a=aged_sample(ppuf.sample_a, model, seconds, rng),
+        sample_b=aged_sample(ppuf.sample_b, model, seconds, rng),
     )
 
 

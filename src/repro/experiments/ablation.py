@@ -84,12 +84,7 @@ def comparator_noise_ablation(
         columns=("noise_sigma_A", "votes", "error_rate"),
     )
     for sigma in noise_sigmas:
-        noisy = Ppuf(
-            crossbar=ppuf.crossbar,
-            network_a=ppuf.network_a,
-            network_b=ppuf.network_b,
-            comparator=CurrentComparator(noise_sigma=sigma),
-        )
+        noisy = dataclasses.replace(ppuf, comparator=CurrentComparator(noise_sigma=sigma))
         for vote_count in votes:
             errors = 0
             for challenge, expected in zip(challenge_list, reference):

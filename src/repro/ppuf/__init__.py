@@ -11,7 +11,7 @@ verification protocol.
 from repro.ppuf.crossbar import Crossbar
 from repro.ppuf.challenge import Challenge, ChallengeSpace
 from repro.ppuf.comparator import CurrentComparator
-from repro.ppuf.device import Ppuf, PpufNetwork
+from repro.ppuf.device import Ppuf
 from repro.ppuf.batch import BatchEvaluator, BatchReport
 from repro.ppuf.crp import CRP, CRPDataset
 from repro.ppuf.pack import ArtifactPack, PackWriter, append_pack, build_pack
@@ -36,7 +36,6 @@ __all__ = [
     "ChallengeSpace",
     "CurrentComparator",
     "Ppuf",
-    "PpufNetwork",
     "BatchEvaluator",
     "BatchReport",
     "ArtifactPack",

@@ -3,11 +3,10 @@
 The paper's asymmetry is that *execution* is cheap while *simulation* is
 expensive — yet the simulation-side pipeline used to pay a hidden rebuild
 tax before any solver ran: pool workers pickled whole devices, service
-workers re-derived per-bit capacity caches per cold claim, and every CLI
-invocation reconstructed :class:`~repro.ppuf.device.PpufNetwork` state
-from scratch.  A :class:`CompiledDevice` removes all of it: one immutable,
-versioned, serialisable artifact holding flat numpy arrays for *both*
-networks —
+workers re-derived capacity tables per cold claim, and every CLI
+invocation re-derived a device's tables from scratch.  A
+:class:`CompiledDevice` removes all of it: one immutable, versioned,
+serialisable artifact holding flat numpy arrays for *both* networks —
 
 * ``edge_src`` / ``edge_dst`` / ``edge_cells`` — the crossbar's edge
   enumeration and grid-cell mapping, precomputed;
@@ -16,16 +15,17 @@ networks —
 * optional edge I–V tables (``v_grid``, ``currents0/1``,
   ``cocontent0/1``) for the circuit engine, shape ``(2, E, G)``.
 
-One evaluation spine serves both the live device and the artifact.
-:class:`NetworkModel` and :class:`DeviceModel` below hold the only
-evaluation code — capacities → flow network → solve, I–V table → DC
-solve, currents → comparator — and both
-:class:`~repro.ppuf.device.Ppuf` and :class:`CompiledDevice` inherit it.
-They differ only in where the per-bit rows come from: a ``Ppuf`` derives
-them lazily from its variation sample, an artifact selects them from its
-flat arrays, so evaluating an artifact is pure row selection plus a solve
-(no lazy derivation, no per-edge Python loop).  Every consumer of the
-spine — :mod:`repro.ppuf.engines`,
+One device model serves both the live device and the artifact.  A
+:class:`~repro.ppuf.device.Ppuf` derives exactly these rows lazily, per
+network and kind, and stacks them under these names and in this layout;
+an artifact holds them frozen.  :class:`NetworkModel` — the one network
+class — is a view that reads its per-bit rows from its device
+(``_capacity_row``/``_edge_table``: an artifact slices its tables, a
+live device derives the rows on first use), and it and
+:class:`DeviceModel` below hold the only evaluation code (capacities →
+flow network → solve, I–V table → DC solve, currents → comparator), so
+evaluating either device is pure row selection plus a solve.  Every
+consumer of the spine — :mod:`repro.ppuf.engines`,
 :class:`~repro.ppuf.verification.PpufProver` /
 :class:`~repro.ppuf.verification.PpufVerifier`, the batch pipeline and the
 service verification workers — takes either.
@@ -44,6 +44,7 @@ challenge is exactly the solve.
 
 from __future__ import annotations
 
+import weakref
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -51,6 +52,7 @@ import numpy as np
 from repro.circuit.dc import solve_dc
 from repro.circuit.ptm32 import OperatingConditions, Technology
 from repro.circuit.table import EdgeTable
+from repro.circuit.variation import VariationSample
 from repro.errors import ChallengeError, ReproError
 from repro.flow import FlowNetwork, solve_max_flow
 from repro.flow.registry import DEFAULT_ALGORITHM
@@ -88,25 +90,55 @@ def _require_circuit_tables(device: "CompiledDevice") -> None:
 
 
 class NetworkModel:
-    """The evaluation spine of one crossbar network, defined once.
+    """One crossbar network of a device, with its evaluation defined once.
 
-    Every network-level evaluation — per-challenge capacities, the public
-    max-flow instance and its solve (max-flow engine), the per-challenge
-    I–V table and its DC solve (circuit engine) — lives here and nowhere
-    else.  The two subclasses differ only in where their per-bit rows come
-    from:
-
-    * :class:`~repro.ppuf.device.PpufNetwork` derives them lazily from its
-      variation sample (capacity bisection, I–V tabulation), per bit value
-      and per engine, so a max-flow user never pays the tabulation;
-    * :class:`CompiledNetwork` selects them from a :class:`CompiledDevice`'s
-      flat arrays.
-
-    Subclasses supply ``crossbar``, ``edge_src``/``edge_dst``,
-    ``v_supply``, ``tech``, ``conditions`` and the two row accessors
-    ``_capacities_for_bit(bit)`` (shape ``(E,)``) and
-    ``_table_for_bit(bit)`` (an :class:`~repro.circuit.table.EdgeTable`).
+    A view: network ``index`` (0 is A, 1 is B) of ``device`` — a
+    :class:`~repro.ppuf.device.Ppuf` or a :class:`CompiledDevice` — whose
+    per-bit capacity rows and I–V tables it reads through the device's
+    ``_capacity_row``/``_edge_table``.  Every network-level evaluation —
+    per-challenge capacities, the public max-flow instance and its solve
+    (max-flow engine), the per-challenge I–V table and its DC solve
+    (circuit engine) — lives here and nowhere else.
     """
+
+    def __init__(self, device, index: int):
+        self.device = device
+        self.index = index
+
+    @property
+    def crossbar(self) -> Crossbar:
+        return self.device.crossbar
+
+    @property
+    def edge_src(self) -> np.ndarray:
+        return self.device.edge_src
+
+    @property
+    def edge_dst(self) -> np.ndarray:
+        return self.device.edge_dst
+
+    @property
+    def v_supply(self) -> float:
+        return self.device.v_supply
+
+    @property
+    def tech(self) -> Technology:
+        return self.device.tech
+
+    @property
+    def conditions(self) -> OperatingConditions:
+        return self.device.conditions
+
+    @property
+    def sample(self) -> VariationSample:
+        """This network's variation sample (a live device only)."""
+        return (self.device.sample_a, self.device.sample_b)[self.index]
+
+    def _capacities_for_bit(self, bit: int) -> np.ndarray:
+        return self.device._capacity_row(self.index, bit)
+
+    def _table_for_bit(self, bit: int) -> EdgeTable:
+        return self.device._edge_table(self.index, bit)
 
     def _check_edge_bits(self, edge_bits: np.ndarray) -> np.ndarray:
         edge_bits = np.asarray(edge_bits)
@@ -190,8 +222,11 @@ class DeviceModel:
     Challenge validation, the two source currents, the comparator decision
     and the batched pipeline entry point live here;
     :class:`~repro.ppuf.device.Ppuf` and :class:`CompiledDevice` inherit
-    them unchanged.  Subclasses supply ``crossbar``, ``network_a``/
-    ``network_b`` (:class:`NetworkModel` instances) and ``comparator``.
+    them unchanged, and so do the two :class:`NetworkModel` views
+    ``network_a``/``network_b``.  Subclasses supply ``crossbar``,
+    ``comparator``, an empty :class:`weakref.WeakValueDictionary`
+    ``_views`` and the views' row sources ``_capacity_row(index, bit)``
+    and ``_edge_table(index, bit)``.
     """
 
     @property
@@ -202,13 +237,28 @@ class DeviceModel:
     def l(self) -> int:
         return self.crossbar.l
 
+    @property
+    def network_a(self) -> NetworkModel:
+        return self.network(0)
+
+    @property
+    def network_b(self) -> NetworkModel:
+        return self.network(1)
+
     def network(self, which) -> NetworkModel:
         """The network ``"a"``/``"b"`` (or index 0/1)."""
         if isinstance(which, str):
             if which not in NETWORK_INDEX:
                 raise ReproError(f"unknown network {which!r}; expected 'a' or 'b'")
             which = NETWORK_INDEX[which]
-        return (self.network_a, self.network_b)[which]
+        index = (0, 1)[which]
+        # A view holds its device, so the device holds its views weakly:
+        # strong links both ways would make every device a reference cycle
+        # whose derived tables outlive it until a full garbage collection.
+        view = self._views.get(index)
+        if view is None:
+            view = self._views[index] = NetworkModel(self, index)
+        return view
 
     def challenge_space(self) -> ChallengeSpace:
         return ChallengeSpace(self.crossbar)
@@ -304,52 +354,6 @@ class DeviceModel:
             raise ChallengeError("challenge terminals out of node range")
 
 
-class CompiledNetwork(NetworkModel):
-    """One network of a :class:`CompiledDevice`: rows selected from its
-    ``(2, E)`` / ``(2, E, G)`` tables, no lazy state."""
-
-    def __init__(self, device: "CompiledDevice", index: int):
-        self.device = device
-        self.index = index
-
-    @property
-    def crossbar(self) -> Crossbar:
-        return self.device.crossbar
-
-    @property
-    def edge_src(self) -> np.ndarray:
-        return self.device.edge_src
-
-    @property
-    def edge_dst(self) -> np.ndarray:
-        return self.device.edge_dst
-
-    @property
-    def v_supply(self) -> float:
-        return self.device.v_supply
-
-    @property
-    def tech(self) -> Technology:
-        return self.device.tech
-
-    @property
-    def conditions(self) -> OperatingConditions:
-        return self.device.conditions
-
-    def _capacities_for_bit(self, bit: int) -> np.ndarray:
-        table = self.device.cap1 if bit else self.device.cap0
-        return table[self.index]
-
-    def _table_for_bit(self, bit: int) -> EdgeTable:
-        device = self.device
-        _require_circuit_tables(device)
-        return EdgeTable(
-            v_grid=device.v_grid,
-            currents=(device.currents1 if bit else device.currents0)[self.index],
-            cocontent=(device.cocontent1 if bit else device.cocontent0)[self.index],
-        )
-
-
 class CompiledDevice(DeviceModel):
     """An immutable, versioned, serialisable PPUF evaluation artifact.
 
@@ -419,7 +423,7 @@ class CompiledDevice(DeviceModel):
             self.currents1 = _readonly(currents1, np.float64, shape)
             self.cocontent0 = _readonly(cocontent0, np.float64, shape)
             self.cocontent1 = _readonly(cocontent1, np.float64, shape)
-        self._networks = (CompiledNetwork(self, 0), CompiledNetwork(self, 1))
+        self._views = weakref.WeakValueDictionary()
 
     # ------------------------------------------------------------------
     # geometry / metadata
@@ -427,6 +431,17 @@ class CompiledDevice(DeviceModel):
     @property
     def num_edges(self) -> int:
         return self.crossbar.num_edges
+
+    def _capacity_row(self, index: int, bit: int) -> np.ndarray:
+        return (self.cap1 if bit else self.cap0)[index]
+
+    def _edge_table(self, index: int, bit: int) -> EdgeTable:
+        _require_circuit_tables(self)
+        return EdgeTable(
+            v_grid=self.v_grid,
+            currents=(self.currents1 if bit else self.currents0)[index],
+            cocontent=(self.cocontent1 if bit else self.cocontent0)[index],
+        )
 
     @property
     def has_circuit_tables(self) -> bool:
@@ -459,14 +474,6 @@ class CompiledDevice(DeviceModel):
         from repro.flow.csr import complete_topology
 
         return complete_topology(self.n)
-
-    @property
-    def network_a(self) -> CompiledNetwork:
-        return self._networks[0]
-
-    @property
-    def network_b(self) -> CompiledNetwork:
-        return self._networks[1]
 
     def compile(self, *, include_circuit: bool = True) -> "CompiledDevice":
         """This artifact itself: it is already compiled.
@@ -535,7 +542,7 @@ class CompiledDevice(DeviceModel):
         # The index arrays are pure functions of (n, l) — rebuilding them on
         # unpickle is cheaper than shipping them to every pool worker.
         state = self.__dict__.copy()
-        for key in ("edge_src", "edge_dst", "edge_cells", "_networks"):
+        for key in ("edge_src", "edge_dst", "edge_cells", "_views"):
             state.pop(key, None)
         return state
 
@@ -547,7 +554,7 @@ class CompiledDevice(DeviceModel):
         self.edge_src = _readonly(src, np.int64, (edges,))
         self.edge_dst = _readonly(dst, np.int64, (edges,))
         self.edge_cells = _readonly(crossbar.edge_cells(), np.int64, (edges,))
-        self._networks = (CompiledNetwork(self, 0), CompiledNetwork(self, 1))
+        self._views = weakref.WeakValueDictionary()
 
 
 # ----------------------------------------------------------------------
@@ -561,44 +568,32 @@ def compile_ppuf(
 ) -> CompiledDevice:
     """Compile a :class:`~repro.ppuf.device.Ppuf` into a :class:`CompiledDevice`.
 
-    Reads through the device's lazy per-bit caches (so compiling a warmed
-    device copies nothing) and stacks both networks' tables into the flat
-    artifact arrays.  ``include_circuit=False`` skips the I–V table build —
-    the right choice for verification-only consumers (the service), whose
-    residual-graph check needs only the capacities.
+    Hands the device's tables over: a ``Ppuf`` stacks its derived rows
+    under the artifact's names and in its layout (deriving each row once,
+    on first use), so compiling a warmed device derives nothing.  Every
+    I–V tabulation of a device grids ``linspace(0, v_supply, 481)``, so
+    its tables share one ``v_grid``.  ``include_circuit=False`` skips the
+    I–V tables — the right choice for verification-only consumers (the
+    service), whose residual-graph check needs only the capacities.
 
     ``device_id`` defaults to the content-derived id of the device's public
     description, tying the artifact to its source silicon.
     """
     import dataclasses
 
-    networks = (ppuf.network_a, ppuf.network_b)
-    circuit: dict = {}
-    if include_circuit:
-        tables = [
-            [net._table_for_bit(bit) for net in networks] for bit in (0, 1)
-        ]
-        grids = [table.v_grid for per_bit in tables for table in per_bit]
-        for grid in grids[1:]:
-            if not np.array_equal(grid, grids[0]):
-                raise ReproError(
-                    "networks tabulate on different voltage grids; cannot compile"
-                )
-        circuit = {"v_grid": grids[0]}
-        for bit, per_bit in enumerate(tables):
-            circuit[f"currents{bit}"] = np.stack([t.currents for t in per_bit])
-            circuit[f"cocontent{bit}"] = np.stack([t.cocontent for t in per_bit])
-    reference = ppuf.network_a
+    circuit = (
+        {key: getattr(ppuf, key) for key in CIRCUIT_KEYS} if include_circuit else {}
+    )
     return CompiledDevice(
         n=ppuf.n,
         l=ppuf.l,
-        cap0=np.stack([net._capacities_for_bit(0) for net in networks]),
-        cap1=np.stack([net._capacities_for_bit(1) for net in networks]),
+        cap0=ppuf.cap0,
+        cap1=ppuf.cap1,
         comparator_offset=ppuf.comparator.offset,
-        v_supply=reference.conditions.v_supply,
+        v_supply=ppuf.v_supply,
         device_id=ppuf.device_id if device_id is None else device_id,
-        technology=dataclasses.asdict(reference.tech),
-        conditions=dataclasses.asdict(reference.conditions),
+        technology=dataclasses.asdict(ppuf.tech),
+        conditions=dataclasses.asdict(ppuf.conditions),
         **circuit,
     )
 
@@ -608,7 +603,6 @@ __all__ = [
     "CIRCUIT_KEYS",
     "NETWORK_INDEX",
     "CompiledDevice",
-    "CompiledNetwork",
     "DeviceModel",
     "NetworkModel",
     "compile_ppuf",

@@ -1,23 +1,20 @@
-"""The PPUF device: two variated crossbar networks and a comparator.
+"""The PPUF device: its public description and the rows derived from it.
 
-:class:`PpufNetwork` models one crossbar (Fig. 1's "Network A" or
-"Network B"): it owns a process-variation sample and lazily caches, per
-challenge-bit value, the edge capacities (max-flow engine) and the edge I–V
-tables (circuit engine), so per-challenge evaluation only selects rows and
-solves.
-
-:class:`Ppuf` is the full device of Fig. 1: it compares the two networks'
-source currents to produce the response bit.
-
-Both evaluate through the spine in :mod:`repro.ppuf.compiled`
-(:class:`~repro.ppuf.compiled.NetworkModel`,
-:class:`~repro.ppuf.compiled.DeviceModel`), shared with the compiled
-artifact; what lives here is fabrication and the lazy per-bit rows.
+:class:`Ppuf` is the full device of Fig. 1 — two variated crossbar
+networks and a comparator — and holds nothing but its public description,
+the fields :func:`~repro.ppuf.io.ppuf_to_dict` saves (plus the
+comparator).  It derives the public model lazily, per network and kind
+(:meth:`Ppuf._capacity_row`, :meth:`Ppuf._edge_table`), for its
+:class:`~repro.ppuf.compiled.NetworkModel` views to read, and stacks the
+rows under the artifact's names and in its layout for
+:meth:`Ppuf.compile`.  Derived rows never travel: a pickled or
+:func:`dataclasses.replace`-d device derives its own.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import weakref
+from dataclasses import dataclass, field, fields, replace
 from typing import Dict, Optional
 
 import numpy as np
@@ -36,103 +33,48 @@ from repro.errors import GraphError
 from repro.flow.registry import DEFAULT_ALGORITHM
 from repro.ppuf.challenge import Challenge
 from repro.ppuf.comparator import CurrentComparator
-from repro.ppuf.compiled import CompiledDevice, DeviceModel, NetworkModel, compile_ppuf
+from repro.ppuf.compiled import CompiledDevice, DeviceModel, compile_ppuf
 from repro.ppuf.crossbar import Crossbar
 
 
-class PpufNetwork(NetworkModel):
-    """One crossbar network bound to a variation sample.
-
-    Parameters
-    ----------
-    crossbar:
-        Topology and grid partition.
-    sample:
-        Per-edge threshold shifts for this network.
-    tech, conditions:
-        Technology card and operating point.
-    """
-
-    def __init__(
-        self,
-        crossbar: Crossbar,
-        sample: VariationSample,
-        tech: Technology,
-        conditions: OperatingConditions,
-    ):
-        if sample.num_edges != crossbar.num_edges:
-            raise GraphError(
-                f"variation sample covers {sample.num_edges} edges but the "
-                f"crossbar has {crossbar.num_edges}"
-            )
-        self.crossbar = crossbar
-        self.sample = sample
-        self.tech = tech
-        self.conditions = conditions
-        self._capacities: Dict[int, np.ndarray] = {}
-        self._tables: Dict[int, EdgeTable] = {}
-        self.edge_src, self.edge_dst = crossbar.edge_endpoints()
-
-    @property
-    def v_supply(self) -> float:
-        return self.conditions.v_supply
-
-    # ------------------------------------------------------------------
-    # pickling: the lazy caches are derivable, so they never travel.  A
-    # warmed parent would otherwise ship megabytes of I-V tables to every
-    # pool worker that is about to build (or map) its own anyway.
-    # ------------------------------------------------------------------
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        for key in ("_capacities", "_tables", "edge_src", "edge_dst"):
-            state.pop(key, None)
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._capacities = {}
-        self._tables = {}
-        self.edge_src, self.edge_dst = self.crossbar.edge_endpoints()
-
-    # ------------------------------------------------------------------
-    # lazy per-bit rows: capacities (max-flow engine), I-V tables (circuit)
-    # ------------------------------------------------------------------
-    def _capacities_for_bit(self, bit: int) -> np.ndarray:
-        if bit not in self._capacities:
-            bits = np.full(self.crossbar.num_edges, bit, dtype=np.uint8)
-            self._capacities[bit] = edge_currents_at_voltage(
-                CAPACITY_REFERENCE_VOLTAGE, bits, self.sample, self.tech, self.conditions
-            )
-        return self._capacities[bit]
-
-    def _table_for_bit(self, bit: int) -> EdgeTable:
-        if bit not in self._tables:
-            bits = np.full(self.crossbar.num_edges, bit, dtype=np.uint8)
-
-            def v_of_i(current_matrix):
-                return edge_voltage(
-                    current_matrix, bits, self.sample, self.tech, self.conditions
-                )
-
-            i_scale = edge_saturation_scale(bits, self.sample, self.tech, self.conditions)
-            self._tables[bit] = EdgeTable.build(
-                v_of_i, i_scale, v_max=self.conditions.v_supply
-            )
-        return self._tables[bit]
-
-
-@dataclass
+@dataclass(eq=False)
 class Ppuf(DeviceModel):
-    """A complete PPUF instance (Fig. 1).
+    """A complete PPUF instance (Fig. 1): its public description.
 
     Build with :meth:`create`; evaluate with :meth:`response` (the
-    :class:`~repro.ppuf.compiled.DeviceModel` spine).
+    :class:`~repro.ppuf.compiled.DeviceModel` spine); change a field with
+    :func:`dataclasses.replace`.
     """
 
     crossbar: Crossbar
-    network_a: PpufNetwork
-    network_b: PpufNetwork
+    sample_a: VariationSample = field(repr=False)
+    sample_b: VariationSample = field(repr=False)
+    tech: Technology = PTM32
+    conditions: OperatingConditions = NOMINAL_CONDITIONS
     comparator: CurrentComparator = field(default_factory=CurrentComparator)
+
+    def __post_init__(self) -> None:
+        for sample in (self.sample_a, self.sample_b):
+            if sample.num_edges != self.crossbar.num_edges:
+                raise GraphError(
+                    f"variation sample covers {sample.num_edges} edges but the "
+                    f"crossbar has {self.crossbar.num_edges}"
+                )
+        self._reset_derived()
+
+    def _reset_derived(self) -> None:
+        self.edge_src, self.edge_dst = self.crossbar.edge_endpoints()
+        self._rows: Dict[tuple, object] = {}
+        self._views = weakref.WeakValueDictionary()
+
+    # The derived tables are a function of the description, so they never
+    # travel: a warmed device pickles as small as a cold one.
+    def __getstate__(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._reset_derived()
 
     @classmethod
     def create(
@@ -160,11 +102,71 @@ class Ppuf(DeviceModel):
             positions=crossbar.block_positions(),
         )
         return cls(
-            crossbar=crossbar,
-            network_a=PpufNetwork(crossbar, sample_a, tech, conditions),
-            network_b=PpufNetwork(crossbar, sample_b, tech, conditions),
-            comparator=comparator or CurrentComparator(),
+            crossbar, sample_a, sample_b, tech, conditions,
+            comparator or CurrentComparator(),
         )
+
+    # ------------------------------------------------------------------
+    # derived rows, per network and kind
+    # ------------------------------------------------------------------
+    @property
+    def v_supply(self) -> float:
+        return self.conditions.v_supply
+
+    def _capacity_row(self, index: int, bit: int) -> np.ndarray:
+        """Network ``index``'s edge capacities at ``bit``.
+
+        The first lookup on a network bisects both of its bit values in one
+        call.  Not both networks at once: a one-network caller (Fig. 6)
+        would pay for rows it never reads (DESIGN §5.10).
+        """
+        key = ("cap", index)
+        if key not in self._rows:
+            edges = self.crossbar.num_edges
+            sample = (self.sample_a, self.sample_b)[index]
+            bits = np.repeat(np.array([0, 1], dtype=np.uint8), edges)
+            both = VariationSample(
+                delta_vt=np.tile(sample.delta_vt, (2, 1)),
+                systematic=np.tile(sample.systematic, 2),
+            )
+            rows = edge_currents_at_voltage(
+                CAPACITY_REFERENCE_VOLTAGE, bits, both, self.tech, self.conditions
+            )
+            self._rows[key] = (rows[:edges], rows[edges:])
+        return self._rows[key][bit]
+
+    def _edge_table(self, index: int, bit: int) -> EdgeTable:
+        """Network ``index``'s edge I–V table at ``bit``.
+
+        One tabulation per (network, bit): :meth:`EdgeTable.build`
+        re-evaluates every row until the slowest one reaches the supply, so
+        stacked row sets cost more than the same sets tabulated apart.
+        """
+        key = ("iv", index, bit)
+        if key not in self._rows:
+            bits = np.full(self.crossbar.num_edges, bit, dtype=np.uint8)
+            sample = (self.sample_a, self.sample_b)[index]
+            tech, conditions = self.tech, self.conditions
+            self._rows[key] = EdgeTable.build(
+                lambda current: edge_voltage(current, bits, sample, tech, conditions),
+                edge_saturation_scale(bits, sample, tech, conditions),
+                v_max=conditions.v_supply,
+            )
+        return self._rows[key]
+
+    def _stacked(self, row) -> np.ndarray:
+        """One artifact table: ``row(index)`` of networks A and B, stacked."""
+        return np.stack([row(0), row(1)])
+
+    # The artifact's tables, derived on each access (a compile reads each
+    # once); the networks read their rows directly.
+    cap0 = property(lambda self: self._stacked(lambda i: self._capacity_row(i, 0)))
+    cap1 = property(lambda self: self._stacked(lambda i: self._capacity_row(i, 1)))
+    v_grid = property(lambda self: self._edge_table(0, 0).v_grid)
+    currents0 = property(lambda self: self._stacked(lambda i: self._edge_table(i, 0).currents))
+    currents1 = property(lambda self: self._stacked(lambda i: self._edge_table(i, 1).currents))
+    cocontent0 = property(lambda self: self._stacked(lambda i: self._edge_table(i, 0).cocontent))
+    cocontent1 = property(lambda self: self._stacked(lambda i: self._edge_table(i, 1).cocontent))
 
     # ------------------------------------------------------------------
     @property
@@ -182,11 +184,11 @@ class Ppuf(DeviceModel):
     ) -> CompiledDevice:
         """Compile this device into an immutable evaluation artifact.
 
-        See :mod:`repro.ppuf.compiled`: the artifact holds both networks'
-        per-bit tables as flat arrays, evaluates bit-identically to this
-        device, pickles light, and persists and fans out to workers as an
-        artifact pack (:mod:`repro.ppuf.pack`).  ``include_circuit=False``
-        skips the I–V tabulation for verification-only use.
+        See :mod:`repro.ppuf.compiled`: the artifact holds this device's
+        derived tables as they are, evaluates bit-identically to it,
+        pickles light, and persists and fans out to workers as an artifact
+        pack (:mod:`repro.ppuf.pack`).  ``include_circuit=False`` skips the
+        I–V tabulation for verification-only use.
         """
         return compile_ppuf(
             self, include_circuit=include_circuit, device_id=device_id
@@ -222,14 +224,9 @@ class Ppuf(DeviceModel):
         the knobs of the paper's intra-class-HD evaluation (±10 % supply,
         −20 °C … 80 °C).
         """
-        tech = self.network_a.tech
-        conditions = self.network_a.conditions.with_supply_scale(supply_scale)
+        tech = self.tech
+        conditions = self.conditions.with_supply_scale(supply_scale)
         if temperature_k is not None:
             tech = tech.at_temperature(temperature_k)
             conditions = replace(conditions, temperature=temperature_k)
-        return Ppuf(
-            crossbar=self.crossbar,
-            network_a=PpufNetwork(self.crossbar, self.network_a.sample, tech, conditions),
-            network_b=PpufNetwork(self.crossbar, self.network_b.sample, tech, conditions),
-            comparator=self.comparator,
-        )
+        return replace(self, tech=tech, conditions=conditions)

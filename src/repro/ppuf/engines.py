@@ -87,8 +87,8 @@ def network_current(
     Parameters
     ----------
     network:
-        A :class:`repro.ppuf.compiled.NetworkModel` (a live
-        :class:`~repro.ppuf.device.PpufNetwork` or a compiled network).
+        A :class:`repro.ppuf.compiled.NetworkModel` (a network of a live
+        :class:`~repro.ppuf.device.Ppuf` or of a compiled device).
     challenge:
         A :class:`repro.ppuf.challenge.Challenge`.
     engine:

@@ -24,7 +24,7 @@ from repro.circuit.variation import VariationSample
 from repro.errors import ReproError
 from repro.ppuf.crossbar import Crossbar
 from repro.ppuf.crp import CRPDataset
-from repro.ppuf.device import Ppuf, PpufNetwork
+from repro.ppuf.device import Ppuf
 from repro.ppuf.formats import FORMAT_VERSION, check_format
 
 
@@ -41,10 +41,10 @@ def ppuf_to_dict(ppuf: Ppuf) -> dict:
         "format": FORMAT_VERSION,
         "n": ppuf.n,
         "l": ppuf.l,
-        "technology": dataclasses.asdict(ppuf.network_a.tech),
-        "conditions": dataclasses.asdict(ppuf.network_a.conditions),
-        "sample_a": sample_dict(ppuf.network_a.sample),
-        "sample_b": sample_dict(ppuf.network_b.sample),
+        "technology": dataclasses.asdict(ppuf.tech),
+        "conditions": dataclasses.asdict(ppuf.conditions),
+        "sample_a": sample_dict(ppuf.sample_a),
+        "sample_b": sample_dict(ppuf.sample_b),
     }
 
 
@@ -73,21 +73,20 @@ def ppuf_from_dict(data: dict) -> Ppuf:
         check_format("PPUF description", data)
     except ValueError as error:
         raise ReproError(str(error)) from None
+
+    def sample(payload) -> VariationSample:
+        return VariationSample(
+            delta_vt=np.asarray(payload["delta_vt"], dtype=np.float64),
+            systematic=np.asarray(payload["systematic"], dtype=np.float64),
+        )
+
     try:
-        crossbar = Crossbar(n=int(data["n"]), l=int(data["l"]))
-        tech = Technology(**data["technology"])
-        conditions = OperatingConditions(**data["conditions"])
-
-        def sample(payload) -> VariationSample:
-            return VariationSample(
-                delta_vt=np.asarray(payload["delta_vt"], dtype=np.float64),
-                systematic=np.asarray(payload["systematic"], dtype=np.float64),
-            )
-
         return Ppuf(
-            crossbar=crossbar,
-            network_a=PpufNetwork(crossbar, sample(data["sample_a"]), tech, conditions),
-            network_b=PpufNetwork(crossbar, sample(data["sample_b"]), tech, conditions),
+            Crossbar(n=int(data["n"]), l=int(data["l"])),
+            sample(data["sample_a"]),
+            sample(data["sample_b"]),
+            Technology(**data["technology"]),
+            OperatingConditions(**data["conditions"]),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as error:
         raise ReproError(f"malformed PPUF save file: {error}") from error

@@ -44,7 +44,10 @@ it closes, so that truncation never cuts a record another process is
 still writing, and appends from several processes never interleave.  A
 fresh :meth:`PackWriter.create` stages the whole file in a temp path and
 publishes it with the module-wide fsync + umask-respecting chmod +
-:func:`os.replace` contract of :mod:`repro.ppuf.io`.
+:func:`os.replace` contract of :mod:`repro.ppuf.io`, under the
+destination's append lock: a rebuild refuses while an enrollment is
+appending.  Servers must still be stopped for a rebuild, because an
+enrollment that finished before the rebuild was staged is not in it.
 """
 
 from __future__ import annotations
@@ -99,6 +102,14 @@ def scratch_pack_path(prefix: str) -> str:
 
 def _padding(position: int) -> int:
     return (-position) % ALIGNMENT
+
+
+def _is_current(handle, path: str) -> bool:
+    """Whether ``handle`` is still the file at ``path``."""
+    try:
+        return os.path.samestat(os.stat(path), os.fstat(handle.fileno()))
+    except FileNotFoundError:
+        return False
 
 
 class _Entry:
@@ -194,7 +205,8 @@ class PackWriter:
     Use the constructors, not ``__init__``:
 
     * :meth:`create` stages a brand-new pack and publishes it atomically
-      on :meth:`close` (temp file + fsync + chmod + :func:`os.replace`);
+      on :meth:`close` (temp file + fsync + chmod + :func:`os.replace`,
+      under the destination's append lock);
     * :meth:`open` appends to an existing pack in place (creating it with
       a bare file header when missing or empty), fsyncing on close.
 
@@ -232,13 +244,24 @@ class PackWriter:
         the lock the existing records are scanned: a corrupt or truncated
         tail from an interrupted append is truncated away (with a logged
         warning) so new records always extend a valid pack.  A missing
-        file is created without truncating one another writer just made.
+        file is created without truncating one another writer just made,
+        and a path replaced while this writer waited is re-opened.
         """
-        descriptor = os.open(path, os.O_RDWR | os.O_CREAT, 0o666)
-        handle = os.fdopen(descriptor, "r+b")
-        try:
-            if fcntl is not None:
+        while True:
+            handle = os.fdopen(os.open(path, os.O_RDWR | os.O_CREAT, 0o666), "r+b")
+            try:
+                if fcntl is None:
+                    break
                 fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
+                # A rebuild may have published a new file at ``path`` while
+                # this writer waited on the old one: append to the new one.
+                if _is_current(handle, path):
+                    break
+            except BaseException:
+                handle.close()
+                raise
+            handle.close()
+        try:
             if os.fstat(handle.fileno()).st_size == 0:
                 handle.write(_FILE_HEADER.pack(PACK_MAGIC, PACK_FORMAT_VERSION, 0))
                 return cls(path, handle)
@@ -332,7 +355,7 @@ class PackWriter:
         if self._temp_path is not None:
             try:
                 if not abort:
-                    publish_temp(self._temp_path, self.path)
+                    self._publish()
             finally:
                 try:
                     # Gone already once published; a stage that was
@@ -340,6 +363,25 @@ class PackWriter:
                     os.unlink(self._temp_path)
                 except OSError:
                     pass
+
+    def _publish(self) -> None:
+        """Move the stage over ``path`` under the destination's append lock,
+        refusing while a writer holds it: its acknowledged record would
+        land in the replaced, unlinked file.  The lock needs no write access
+        to the old file, so a read-only pack is rebuilt like any other."""
+        descriptor = os.open(self.path, os.O_RDONLY | os.O_CREAT, 0o666)
+        try:
+            if fcntl is not None:
+                try:
+                    fcntl.flock(descriptor, fcntl.LOCK_EX | fcntl.LOCK_NB)
+                except BlockingIOError:
+                    raise ReproError(
+                        f"artifact pack {self.path!r} is being appended to; "
+                        "stop the servers on it before rebuilding it"
+                    ) from None
+            publish_temp(self._temp_path, self.path)
+        finally:
+            os.close(descriptor)
 
     def __enter__(self) -> "PackWriter":
         return self

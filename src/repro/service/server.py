@@ -52,11 +52,9 @@ import logging
 from collections import OrderedDict
 from typing import Dict, Optional
 
-from repro.circuit.ptm32 import OperatingConditions, Technology
 from repro.errors import ReproError, ServiceError, ServiceTimeout, VerificationError
 from repro.ppuf.challenge import ChallengeSpace
 from repro.ppuf.crossbar import Crossbar
-from repro.ppuf.delay import lin_mead_delay_bound
 from repro.ppuf.verification import verify_compact_claims
 from repro.runtime.microbatch import MicroBatcher
 from repro.runtime.pool import WorkerPool
@@ -67,10 +65,6 @@ from repro.service.sessions import ReplayRejected, Session, SessionManager
 from repro.service.stats import ServerStats
 
 logger = logging.getLogger(__name__)
-
-#: Deadline slack relayed to clients as ``paper_deadline_seconds`` — the
-#: modeled time bound of :class:`repro.ppuf.protocol.AuthenticationSession`.
-PAPER_DEADLINE_SLACK = 100.0
 
 
 def _verify_claims_task(jobs) -> list:
@@ -477,20 +471,12 @@ class PpufAuthServer:
         if device_id not in self.registry:
             self.stats.unknown_devices += 1
             raise ServiceError(f"unknown device id {device_id!r}")
-        # The header is all a session needs: no device is built or cached.
+        # The header's n and l are all a session needs: no device is built
+        # or cached, and no device physics runs.
         header = self.registry.header(device_id)
-        if not header.get("technology") or not header.get("conditions"):
-            raise ServiceError(
-                f"device {device_id!r} carries no technology card or operating point"
-            )
         crossbar = Crossbar(n=int(header["n"]), l=int(header["l"]))
         session = self.sessions.open(
             device_id, ChallengeSpace(crossbar), network, message.get("rounds")
-        )
-        session.paper_deadline_seconds = PAPER_DEADLINE_SLACK * lin_mead_delay_bound(
-            crossbar.n,
-            Technology(**header["technology"]),
-            OperatingConditions(**header["conditions"]),
         )
         self.stats.sessions_opened += 1
         self.stats.rounds_issued += 1
@@ -505,7 +491,6 @@ class PpufAuthServer:
             "rounds": session.rounds_total,
             "challenge": wire.challenge_to_wire(session.challenge),
             "deadline_seconds": session.deadline_seconds,
-            "paper_deadline_seconds": session.paper_deadline_seconds,
         }
 
     async def _on_claim(self, message: dict) -> dict:

@@ -58,9 +58,10 @@ class Session:
     """One in-flight authentication attempt.
 
     ``space`` is the device's challenge space, so issuing the next round
-    never looks the device up again; ``paper_deadline_seconds`` is the
-    modeled time bound relayed with every challenge, computed once per
-    session by the server.
+    never looks the device up again.  ``deadline_seconds`` is the enforced
+    wire deadline.  The paper's modeled bound (the Lin–Mead delay bound)
+    is a public function of the device that a prover computes from the
+    model it already holds, so no session carries it.
     """
 
     session_id: str
@@ -69,7 +70,6 @@ class Session:
     rounds_total: int
     deadline_seconds: float
     space: ChallengeSpace
-    paper_deadline_seconds: float = 0.0
     round_index: int = 0
     state: str = AWAITING_CLAIM
     nonce: str = ""

@@ -10,8 +10,9 @@ type           sender  payload
 ``enrolled``   server  ``device_id``
 ``hello``      client  ``device_id``, ``network`` ("a"/"b"), opt. ``rounds``
 ``challenge``  server  ``session``, ``nonce``, ``round``, ``rounds``,
-                       ``challenge``, ``deadline_seconds``,
-                       ``paper_deadline_seconds``
+                       ``challenge``, ``deadline_seconds`` (the enforced
+                       deadline; the modeled Lin–Mead bound is a public
+                       function of the device, not a wire field)
 ``claim``      client  ``session``, ``nonce``, ``claim``
 ``verdict``    server  ``session``, ``accepted``, ``reason``, ``rounds_run``
 ``stats``      client  (empty) → server replies with a ``stats`` snapshot

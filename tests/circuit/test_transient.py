@@ -93,7 +93,7 @@ class TestValidation:
             )  # duration
 
 
-class TestOnPpufNetwork:
+class TestOnDeviceNetwork:
     def test_transient_settles_to_maxflow_value(self, small_ppuf):
         from repro.ppuf.delay import transient_settling_time
 

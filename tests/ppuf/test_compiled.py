@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from repro.errors import ReproError
-from repro.ppuf import CRPDataset, Ppuf, PpufNetwork
-from repro.ppuf.compiled import CompiledDevice, CompiledNetwork
+from repro.ppuf import CRPDataset, Ppuf
+from repro.ppuf.compiled import CompiledDevice, NetworkModel
 from repro.ppuf.formats import FORMAT_VERSION
 from repro.ppuf.io import load_crps, load_ppuf, ppuf_from_dict, ppuf_to_dict
 from repro.ppuf.pack import PACK_MAGIC, ArtifactPack, build_pack
@@ -93,8 +93,13 @@ class TestOneSpine:
         assert getattr(Ppuf, name) is getattr(CompiledDevice, name)
 
     @pytest.mark.parametrize("name", NETWORK_SPINE)
-    def test_network_method_is_defined_once(self, name):
-        assert getattr(PpufNetwork, name) is getattr(CompiledNetwork, name)
+    def test_network_method_is_defined_once(self, name, tiny_ppuf, compiled):
+        # One network class: both device kinds hold NetworkModel views.
+        for device in (tiny_ppuf, compiled):
+            for network in (device.network_a, device.network_b):
+                assert type(network) is NetworkModel
+                assert network.device is device
+                assert getattr(type(network), name) is getattr(NetworkModel, name)
 
     def test_artifact_compiles_to_itself(self, compiled, capacity_only):
         assert compiled.compile() is compiled
@@ -113,19 +118,22 @@ class TestOneSpine:
 
 
 class TestPicklePayloads:
-    def test_network_pickle_drops_lazy_caches(self, tiny_ppuf):
-        # Warm every lazy cache (capacities and I-V tables), then check the
-        # wire weight: __getstate__ must drop them all, so a warmed network
-        # pickles as small as a cold one.
-        tiny_ppuf.compile(include_circuit=True)
-        assert set(tiny_ppuf.network_a._tables) == {0, 1}
-        payload = pickle.dumps(tiny_ppuf.network_a)
-        assert len(payload) < 100_000
+    def test_network_pickle_drops_lazy_caches(self):
+        # Warm every derived table (capacities and I-V tables), then check
+        # the wire weight: the tables never travel, so a warmed device
+        # pickles to exactly its cold size, and so does a network view.
+        device = Ppuf.create(6, 2, np.random.default_rng(51))
+        cold = len(pickle.dumps(device))
+        cold_network = len(pickle.dumps(device.network_a))
+        device.compile(include_circuit=True)
+        assert len(pickle.dumps(device)) == cold
+        payload = pickle.dumps(device.network_a)
+        assert len(payload) == cold_network < 100_000
         clone = pickle.loads(payload)
-        challenge = challenges_for(tiny_ppuf, 1)[0]
-        edge_bits = tiny_ppuf.crossbar.bits_for_edges(challenge.bits)
+        challenge = challenges_for(device, 1)[0]
+        edge_bits = device.crossbar.bits_for_edges(challenge.bits)
         assert np.array_equal(
-            clone.capacities(edge_bits), tiny_ppuf.network_a.capacities(edge_bits)
+            clone.capacities(edge_bits), device.network_a.capacities(edge_bits)
         )
 
     def test_capacity_artifact_pickles_in_kilobytes(self, capacity_only):

@@ -1,11 +1,20 @@
-"""The Ppuf device and PpufNetwork engines."""
+"""The Ppuf device and its network views."""
+
+import gc
+import weakref
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+from repro.blocks.edge import edge_currents_at_voltage, edge_saturation_scale, edge_voltage
+from repro.circuit.ptm32 import CAPACITY_REFERENCE_VOLTAGE
+from repro.circuit.table import EdgeTable
 from repro.errors import ChallengeError, GraphError
 from repro.ppuf import Challenge, CurrentComparator, Ppuf
-from repro.ppuf.device import PpufNetwork
+from repro.ppuf import device as device_module
+from repro.ppuf.engines import network_current
+from repro.ppuf.io import ppuf_to_dict
 from repro.circuit.variation import VariationSample
 from repro.ppuf.crossbar import Crossbar
 
@@ -27,8 +36,11 @@ class TestCreation:
 
     def test_sample_size_must_match_crossbar(self, tech, conditions):
         crossbar = Crossbar(n=5, l=2)
-        with pytest.raises(GraphError):
-            PpufNetwork(crossbar, VariationSample.nominal(3), tech, conditions)
+        good = VariationSample.nominal(crossbar.num_edges)
+        bad = VariationSample.nominal(3)
+        for sample_a, sample_b in ((bad, good), (good, bad)):
+            with pytest.raises(GraphError):
+                Ppuf(crossbar, sample_a, sample_b, tech, conditions)
 
     def test_determinism_per_seed(self, tech, conditions):
         a = Ppuf.create(6, 2, np.random.default_rng(7))
@@ -164,10 +176,111 @@ class TestComparator:
         challenge = small_ppuf.challenge_space().random(rng)
         current_a, current_b = small_ppuf.currents(challenge)
         gap = current_b - current_a
-        biased = Ppuf(
-            crossbar=small_ppuf.crossbar,
-            network_a=small_ppuf.network_a,
-            network_b=small_ppuf.network_b,
-            comparator=CurrentComparator(offset=gap + 1e-9),
-        )
+        biased = replace(small_ppuf, comparator=CurrentComparator(offset=gap + 1e-9))
         assert biased.response(challenge) == 1
+
+
+#: The conformance suite's devices: (n, l, fabrication seed).
+CONFORMANCE_DEVICES = [(10, 3, 7010), (16, 4, 7016), (8, 2, 7100)]
+
+
+class TestPublicDescription:
+    def test_fields_are_what_a_save_file_holds(self, small_ppuf):
+        names = [f.name for f in fields(Ppuf)]
+        assert names == [
+            "crossbar", "sample_a", "sample_b", "tech", "conditions", "comparator",
+        ]
+        saved = ppuf_to_dict(small_ppuf)
+        assert {"n", "l", "technology", "conditions", "sample_a", "sample_b"} <= set(saved)
+        assert "delta_vt" not in repr(small_ppuf)
+
+    def test_replace_copy_derives_its_own_tables(self, small_ppuf):
+        copy = replace(small_ppuf, comparator=CurrentComparator(offset=1e-9))
+        assert copy.sample_a is small_ppuf.sample_a
+        row = small_ppuf.network_a._capacities_for_bit(0)
+        assert copy.network_a._capacities_for_bit(0) is not row
+        assert np.array_equal(copy.cap0, small_ppuf.cap0)
+
+
+class TestDerivedTables:
+    @staticmethod
+    def count_rows(monkeypatch):
+        """Row count of every bisection and tabulation a device runs."""
+        calls = {"bisect": [], "tabulate": []}
+        real_bisect = device_module.edge_currents_at_voltage
+        real_build = EdgeTable.build
+
+        def bisect(voltage, bits, *args, **kwargs):
+            calls["bisect"].append(len(bits))
+            return real_bisect(voltage, bits, *args, **kwargs)
+
+        def tabulate(v_of_i, i_scale, **kwargs):
+            calls["tabulate"].append(len(i_scale))
+            return real_build(v_of_i, i_scale, **kwargs)
+
+        monkeypatch.setattr(device_module, "edge_currents_at_voltage", bisect)
+        monkeypatch.setattr(EdgeTable, "build", tabulate)
+        return calls
+
+    def test_each_row_set_is_derived_once(self, monkeypatch):
+        calls = self.count_rows(monkeypatch)
+        ppuf = Ppuf.create(6, 2, np.random.default_rng(17))
+        edges = ppuf.crossbar.num_edges
+        challenge = ppuf.challenge_space().random(np.random.default_rng(18))
+        ppuf.compile(include_circuit=True)
+        ppuf.response(challenge, engine="maxflow")
+        ppuf.response(challenge, engine="circuit")
+        ppuf.network_b.capacities(np.ones(edges, dtype=np.uint8))
+        # One bisection per network (both bits), one tabulation per
+        # (network, bit), however many evaluations ask for them.
+        assert calls == {"bisect": [2 * edges] * 2, "tabulate": [edges] * 4}
+
+    def test_one_network_derives_only_its_rows(self, monkeypatch):
+        calls = self.count_rows(monkeypatch)
+        ppuf = Ppuf.create(6, 2, np.random.default_rng(19))
+        edges = ppuf.crossbar.num_edges
+        challenge = ppuf.challenge_space().random(np.random.default_rng(20))
+        for engine in ("maxflow", "circuit", "maxflow", "circuit"):
+            network_current(ppuf.network_a, challenge, engine)
+        assert calls == {"bisect": [2 * edges], "tabulate": [edges] * 2}
+
+    @pytest.mark.parametrize("compiled", [False, True], ids=["ppuf", "compiled"])
+    def test_a_dropped_device_is_freed_at_once(self, compiled):
+        device = Ppuf.create(6, 2, np.random.default_rng(21))
+        if compiled:
+            device = device.compile(include_circuit=False)
+        network = device.network_a
+        network.capacities(np.zeros(device.crossbar.num_edges, dtype=np.uint8))
+        assert device.network("a") is network
+        gone = weakref.ref(device)
+        gc.disable()
+        try:
+            del device
+            assert gone() is not None  # a view keeps its device
+            del network
+            assert gone() is None  # and nothing else does: no cycle
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("n,l,seed", CONFORMANCE_DEVICES)
+    def test_stacking_changes_no_bit(self, n, l, seed):
+        ppuf = Ppuf.create(n, l, np.random.default_rng(seed))
+        edges = ppuf.crossbar.num_edges
+        tech, conditions = ppuf.tech, ppuf.conditions
+        for row, sample in enumerate((ppuf.sample_a, ppuf.sample_b)):
+            for bit in (0, 1):
+                bits = np.full(edges, bit, dtype=np.uint8)
+                capacities = edge_currents_at_voltage(
+                    CAPACITY_REFERENCE_VOLTAGE, bits, sample, tech, conditions
+                )
+                assert np.array_equal((ppuf.cap0, ppuf.cap1)[bit][row], capacities)
+                table = EdgeTable.build(
+                    lambda current: edge_voltage(current, bits, sample, tech, conditions),
+                    edge_saturation_scale(bits, sample, tech, conditions),
+                    v_max=conditions.v_supply,
+                )
+                assert np.array_equal(ppuf.v_grid, table.v_grid)
+                currents = (ppuf.currents0, ppuf.currents1)[bit]
+                cocontent = (ppuf.cocontent0, ppuf.cocontent1)[bit]
+                assert np.array_equal(currents[row], table.currents)
+                assert np.array_equal(cocontent[row], table.cocontent)

@@ -1,5 +1,7 @@
 """Key derivation from PPUF responses."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -45,22 +47,12 @@ class TestDeriveKey:
         assert derive_key(device, b"k").key != derive_key(other, b"k").key
 
     def test_dark_bit_masking_drops_marginal_bits(self, device):
-        coarse = Ppuf(
-            crossbar=device.crossbar,
-            network_a=device.network_a,
-            network_b=device.network_b,
-            comparator=CurrentComparator(resolution=1e-7),
-        )
+        coarse = replace(device, comparator=CurrentComparator(resolution=1e-7))
         material = derive_key(coarse, b"k", num_bits=48)
         assert material.retained < 48
 
     def test_noisy_comparator_requires_rng(self, device):
-        noisy = Ppuf(
-            crossbar=device.crossbar,
-            network_a=device.network_a,
-            network_b=device.network_b,
-            comparator=CurrentComparator(noise_sigma=1e-9),
-        )
+        noisy = replace(device, comparator=CurrentComparator(noise_sigma=1e-9))
         with pytest.raises(ReproError):
             derive_key(noisy, b"k")
 
@@ -75,17 +67,11 @@ class TestAgreementRate:
         """With noise comparable to weak margins, masking + voting keeps
         key agreement higher than unmasked single-shot decisions."""
         rng = np.random.default_rng(5)
-        fragile = Ppuf(
-            crossbar=device.crossbar,
-            network_a=device.network_a,
-            network_b=device.network_b,
-            comparator=CurrentComparator(noise_sigma=1.5e-8, resolution=0.0),
+        fragile = replace(
+            device, comparator=CurrentComparator(noise_sigma=1.5e-8, resolution=0.0)
         )
-        robust = Ppuf(
-            crossbar=device.crossbar,
-            network_a=device.network_a,
-            network_b=device.network_b,
-            comparator=CurrentComparator(noise_sigma=1.5e-8, resolution=5e-8),
+        robust = replace(
+            device, comparator=CurrentComparator(noise_sigma=1.5e-8, resolution=5e-8)
         )
         fragile_rate, _ = key_agreement_rate(fragile, b"k", 8, rng, num_bits=32, votes=1)
         robust_rate, _ = key_agreement_rate(robust, b"k", 8, rng, num_bits=32, votes=9)

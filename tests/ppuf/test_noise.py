@@ -1,10 +1,12 @@
 """Comparator noise, majority voting and the analytic flip probability."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.errors import DeviceError
-from repro.ppuf import CurrentComparator, Ppuf
+from repro.ppuf import CurrentComparator
 
 
 class TestNoisyComparator:
@@ -62,12 +64,7 @@ class TestNoisyPpufResponse:
         assert small_ppuf.noisy_response(challenge, rng) == small_ppuf.response(challenge)
 
     def test_votes_restore_reliability(self, small_ppuf, rng):
-        noisy = Ppuf(
-            crossbar=small_ppuf.crossbar,
-            network_a=small_ppuf.network_a,
-            network_b=small_ppuf.network_b,
-            comparator=CurrentComparator(noise_sigma=3e-8),
-        )
+        noisy = replace(small_ppuf, comparator=CurrentComparator(noise_sigma=3e-8))
         challenges = small_ppuf.challenge_space().random_batch(15, rng)
         reference = small_ppuf.response_bits(challenges)
         single_errors = sum(

@@ -12,6 +12,12 @@ import pytest
 from repro.cli import main
 
 
+def _close_pipes(process):
+    for pipe in (process.stdout, process.stderr):
+        if pipe is not None:
+            pipe.close()
+
+
 def _serve_env():
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
@@ -63,6 +69,7 @@ def server_port(tmp_path):
         except subprocess.TimeoutExpired:
             process.kill()
             process.wait()
+        _close_pipes(process)
 
 
 class TestServeAuthRoundtrip:
@@ -145,6 +152,7 @@ class TestServeLifecycle:
             if process.poll() is None:
                 process.kill()
                 process.wait()
+            _close_pipes(process)
 
     def test_sigint_also_exits_zero(self, tmp_path):
         process = self._spawn(tmp_path)
@@ -157,3 +165,4 @@ class TestServeLifecycle:
             if process.poll() is None:
                 process.kill()
                 process.wait()
+            _close_pipes(process)

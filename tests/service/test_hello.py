@@ -1,10 +1,10 @@
 """HELLO is served from the device header.
 
-Opening a session needs only ``n``, ``l``, the technology card and the
-operating point.  These tests pin that HELLO never builds a device (for
-a wire-enrolled or a pre-packed device alike), that the registry keeps no
-rebuilt devices resident, that the relayed paper deadline is the device's
-Lin–Mead bound, and that a malformed ``rounds`` is a protocol error.
+Opening a session needs only the header's ``n`` and ``l``.  These tests
+pin that HELLO never builds a device and never runs device physics (for
+a wire-enrolled or a pre-packed device alike), that a header without a
+technology card still authenticates, that the registry keeps no rebuilt
+devices resident, and that a malformed ``rounds`` is a protocol error.
 """
 
 import asyncio
@@ -14,16 +14,22 @@ import weakref
 import numpy as np
 import pytest
 
+from repro.blocks import edge as edge_module
 from repro.circuit.ptm32 import NOMINAL_CONDITIONS, PTM32
 from repro.ppuf import Ppuf
+from repro.ppuf import delay as delay_module
+from repro.ppuf import device as device_module
 from repro.ppuf.compiled import CompiledDevice
-from repro.ppuf.delay import lin_mead_delay_bound
 from repro.ppuf.pack import ArtifactPack, build_pack
 from repro.ppuf.verification import PpufProver
 from repro.runtime import provision
 from repro.service import DeviceRegistry, PpufAuthServer, ServiceClient, wire
 from repro.service import registry as registry_module
-from repro.service.server import PAPER_DEADLINE_SLACK
+
+#: Every key a CHALLENGE carries: the enforced deadline, and nothing modeled.
+CHALLENGE_KEYS = {
+    "type", "session", "nonce", "round", "rounds", "challenge", "deadline_seconds",
+}
 
 
 def run(coroutine):
@@ -37,8 +43,7 @@ def enrolled():
 
 @pytest.fixture(scope="module")
 def packed():
-    # A different technology corner and supply, so the two devices'
-    # deadlines differ and each must come from its own header.
+    # A different technology corner and supply from the enrolled device.
     return Ppuf.create(
         8,
         2,
@@ -104,8 +109,39 @@ class TestHelloFromHeader:
         assert [reply["type"] for reply in replies] == [wire.CHALLENGE] * 2
         assert internal_errors == 0
 
-    def test_header_without_technology_is_refused(self, tmp_path, packed):
-        # No silent default: the paper deadline needs the device's own card.
+    def test_hello_runs_no_device_physics(
+        self, registry, enrolled, packed, monkeypatch
+    ):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the session path ran device physics")
+
+        # The provers hold their public models before the tripwires go in.
+        for device in (enrolled, packed):
+            device.network_a.capacities(np.zeros(device.crossbar.num_edges))
+        monkeypatch.setattr(edge_module, "edge_currents_at_voltage", forbidden)
+        monkeypatch.setattr(device_module, "edge_currents_at_voltage", forbidden)
+        monkeypatch.setattr(delay_module, "lin_mead_delay_bound", forbidden)
+
+        async def go():
+            async with PpufAuthServer(
+                registry, workers=0, seed=5, deadline_seconds=30.0
+            ) as server:
+                async with ServiceClient("127.0.0.1", server.port) as client:
+                    seen = [
+                        await challenges_of(client, device, rounds=3)
+                        for device in (enrolled, packed)
+                    ]
+                return seen, server.stats.internal_errors
+
+        seen, internal_errors = run(go())
+        assert internal_errors == 0
+        for challenges in seen:
+            assert len(challenges) == 3
+            assert all(set(challenge) == CHALLENGE_KEYS for challenge in challenges)
+
+    def test_header_without_technology_authenticates(self, tmp_path, packed):
+        # HELLO reads only n and l, so a header without a technology card
+        # or operating point opens sessions like any other.
         source = packed.compile(include_circuit=False)
         bare = CompiledDevice(
             n=source.n, l=source.l, cap0=source.cap0, cap1=source.cap1,
@@ -116,15 +152,20 @@ class TestHelloFromHeader:
         registry = DeviceRegistry(pack=path)
 
         async def go():
-            async with PpufAuthServer(registry, workers=0, seed=5) as server:
+            async with PpufAuthServer(
+                registry, workers=0, seed=5, deadline_seconds=30.0
+            ) as server:
                 async with ServiceClient("127.0.0.1", server.port) as client:
-                    reply = await client.request(hello("bare"))
-                return reply, server.stats
+                    outcome = await client.authenticate(bare, rounds=2)
+                return outcome, server.stats
 
-        reply, stats = run(go())
-        assert reply["type"] == wire.ERROR
-        assert "technology" in reply["error"]
-        assert (stats.internal_errors, stats.protocol_errors) == (0, 1)
+        try:
+            outcome, stats = run(go())
+        finally:
+            registry.close()
+            provision.clear_cache()
+        assert outcome.accepted
+        assert (stats.internal_errors, stats.protocol_errors) == (0, 0)
 
     def test_registry_keeps_no_rebuilt_devices(self, monkeypatch):
         built = []
@@ -162,27 +203,6 @@ class TestHelloFromHeader:
         finally:
             registry.close()
             provision.clear_cache()
-
-    def test_paper_deadline_is_the_lin_mead_bound(self, registry, enrolled, packed):
-        async def go():
-            async with PpufAuthServer(
-                registry, workers=0, seed=5, deadline_seconds=30.0
-            ) as server:
-                async with ServiceClient("127.0.0.1", server.port) as client:
-                    return [
-                        await challenges_of(client, device, rounds=3)
-                        for device in (enrolled, packed)
-                    ]
-
-        deadlines = []
-        for device, challenges in zip((enrolled, packed), run(go())):
-            assert len(challenges) == 3
-            expected = PAPER_DEADLINE_SLACK * lin_mead_delay_bound(
-                device.n, device.network_a.tech, device.network_a.conditions
-            )
-            assert [c["paper_deadline_seconds"] for c in challenges] == [expected] * 3
-            deadlines.append(expected)
-        assert deadlines[0] != deadlines[1]
 
 
 class TestHelloRounds:

@@ -116,7 +116,10 @@ class TestClientTimeouts:
         """A server that accepts but never replies must not hang the client."""
 
         async def mute(reader, writer):
-            await asyncio.sleep(30)
+            try:
+                await reader.read()  # EOF arrives when the client gives up
+            finally:
+                writer.close()
 
         async def go():
             server = await asyncio.start_server(mute, "127.0.0.1", 0)
